@@ -15,7 +15,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,27 +33,6 @@ SEED_ENV_VAR = "HOLOENT_SEED"
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved invocation: command plus every knob that affects output."""
-
-    command: str
-    format: str
-    out: str | None
-    k: int | None = None
-    n: int | None = None
-    seed: int | None = None
-    tol: float | None = None
-    k_max: int | None = None
-    state_path: str | None = None
-    offset: float | None = None
-    restarts: int | None = None
-    max_iters: int | None = None
-    step0: float | None = None
-    trace: bool = False
-    restriction_table: bool = False
 
 
 def _positive_int(text: str) -> int:
@@ -111,8 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel", help="orthonormal basis of the restriction kernel")
     p.add_argument("--k", type=_positive_int, required=True, help="section degree (level)")
-    p.add_argument("--tol", type=float, default=restriction.RANK_TOL,
-                   help="relative rank tolerance (default: 1e-10)")
     _add_output_options(p)
 
     p = sub.add_parser("named-vectors",
@@ -172,15 +148,15 @@ def _flat_state_row(state: StateTensor) -> list[float]:
     return row
 
 
-def cmd_entropy(config: RunConfig) -> dict:
-    if config.state_path == "-":
+def cmd_entropy(args: argparse.Namespace) -> dict:
+    if args.state == "-":
         record = json.load(sys.stdin)
     else:
-        with open(config.state_path) as handle:
+        with open(args.state) as handle:
             record = json.load(handle)
     state = StateTensor.from_dict(record)
-    params = {"state": config.state_path, "k": state.k}
-    if config.restriction_table:
+    params = {"state": args.state, "k": state.k}
+    if args.restriction:
         modes = restriction.restrict(state)
         return {
             "params": params,
@@ -209,24 +185,24 @@ def cmd_entropy(config: RunConfig) -> dict:
     }
 
 
-def cmd_kernel(config: RunConfig) -> dict:
-    basis = restriction.kernel_basis(config.k, tol=config.tol)
-    params = {"k": config.k, "tol": config.tol, "dim": len(basis)}
+def cmd_kernel(args: argparse.Namespace) -> dict:
+    basis = restriction.kernel_basis(args.k)
+    params = {"k": args.k, "dim": len(basis)}
     rows = [[index] + _flat_state_row(state) for index, state in enumerate(basis)]
     return {
         "params": params,
-        "columns": ["vector"] + _flat_state_columns(config.k),
+        "columns": ["vector"] + _flat_state_columns(args.k),
         "rows": rows,
         "json_data": {
-            "k": config.k,
+            "k": args.k,
             "dim": len(basis),
             "basis": [state.to_dict() for state in basis],
         },
     }
 
 
-def cmd_named_vectors(config: RunConfig) -> dict:
-    k = config.k
+def cmd_named_vectors(args: argparse.Namespace) -> dict:
+    k = args.k
     named = [
         ("near_product", restriction.near_product_vector(k)),
         ("bell", restriction.bell_vector(k)),
@@ -251,27 +227,27 @@ def cmd_named_vectors(config: RunConfig) -> dict:
     }
 
 
-def cmd_maximize(config: RunConfig) -> dict:
-    seed = _resolve_seed(config.seed)
+def cmd_maximize(args: argparse.Namespace) -> dict:
+    seed = _resolve_seed(args.seed)
     problem = optimize.OptProblem(
-        subspace=tuple(restriction.diagonal_kernel_basis(config.k)),
-        max_iters=config.max_iters,
-        step0=config.step0,
-        tol_grad=config.tol,
-        restarts=config.restarts,
+        subspace=tuple(restriction.diagonal_kernel_basis(args.k)),
+        max_iters=args.max_iters,
+        step0=args.step0,
+        tol_grad=args.tol,
+        restarts=args.restarts,
         seed=seed,
     )
     result = optimize.maximize(problem)
     params = {
-        "k": config.k,
-        "restarts": config.restarts,
-        "max_iters": config.max_iters,
-        "step0": config.step0,
-        "tol": config.tol,
+        "k": args.k,
+        "restarts": args.restarts,
+        "max_iters": args.max_iters,
+        "step0": args.step0,
+        "tol": args.tol,
         "seed": seed,
     }
     json_data = {
-        "k": config.k,
+        "k": args.k,
         "best_value": result.best_value,
         "grad_norm": result.grad_norm,
         "iterations": result.iterations,
@@ -279,13 +255,13 @@ def cmd_maximize(config: RunConfig) -> dict:
         "converged": result.converged,
         "best_state": result.best_state.to_dict(),
     }
-    if config.trace:
+    if args.trace:
         json_data["restart_values"] = list(result.restart_values)
     return {
         "params": params,
         "columns": ["k", "best_value", "grad_norm", "iterations",
                     "critical_residual", "converged"],
-        "rows": [[config.k, result.best_value, result.grad_norm, result.iterations,
+        "rows": [[args.k, result.best_value, result.grad_norm, result.iterations,
                   result.critical_residual, result.converged]],
         "json_data": json_data,
         "exit_code": EXIT_OK if result.converged else EXIT_NO_CONVERGENCE,
@@ -300,18 +276,18 @@ def _matrix_rows(tag: str, matrix: np.ndarray) -> list[list]:
     return rows
 
 
-def cmd_toeplitz_check(config: RunConfig) -> dict:
+def cmd_toeplitz_check(args: argparse.Namespace) -> dict:
     symbol = toeplitz.kernel_projection_symbol()
-    if config.offset is not None:
-        symbol = toeplitz.SymbolExpr(terms=symbol.terms, offset=config.offset)
+    if args.offset is not None:
+        symbol = toeplitz.SymbolExpr(terms=symbol.terms, offset=args.offset)
     compression = toeplitz.toeplitz_matrix(symbol, 1)
     projection = toeplitz.projection_matrix([restriction.bell_vector(1)])
     diff = float(np.max(np.abs(compression.entries - projection.entries)))
-    status = "PASS" if diff <= config.tol else "FAIL"
+    status = "PASS" if diff <= args.tol else "FAIL"
     params = {
         "k": 1,
         "offset": float(complex(symbol.offset).real),
-        "tol": config.tol,
+        "tol": args.tol,
         "max_diff": diff,
         "status": status,
     }
@@ -331,13 +307,13 @@ def cmd_toeplitz_check(config: RunConfig) -> dict:
     }
 
 
-def cmd_sphere_average(config: RunConfig) -> dict:
-    seed = _resolve_seed(config.seed)
-    estimate = sampling.mc_mean_entropy(config.k, config.n, seed)
-    page_exact = sampling.page_mean(config.k + 1)
-    prediction = sampling.asymptotic_mean_entropy(sampling.cp1_model(), config.k)
-    params = {"k": config.k, "n": config.n, "seed": seed}
-    row = [config.k, config.n, estimate.mean, estimate.stderr,
+def cmd_sphere_average(args: argparse.Namespace) -> dict:
+    seed = _resolve_seed(args.seed)
+    estimate = sampling.mc_mean_entropy(args.k, args.n, seed)
+    page_exact = sampling.page_mean(args.k + 1)
+    prediction = sampling.asymptotic_mean_entropy(sampling.cp1_model(), args.k)
+    params = {"k": args.k, "n": args.n, "seed": seed}
+    row = [args.k, args.n, estimate.mean, estimate.stderr,
            page_exact, prediction, seed]
     return {
         "params": params,
@@ -345,8 +321,8 @@ def cmd_sphere_average(config: RunConfig) -> dict:
                     "asymptotic_prediction", "seed"],
         "rows": [row],
         "json_data": {
-            "k": config.k,
-            "n": config.n,
+            "k": args.k,
+            "n": args.n,
             "mean": estimate.mean,
             "stderr": estimate.stderr,
             "page_exact": page_exact,
@@ -356,15 +332,15 @@ def cmd_sphere_average(config: RunConfig) -> dict:
     }
 
 
-def cmd_bk_series(config: RunConfig) -> dict:
+def cmd_bk_series(args: argparse.Namespace) -> dict:
     rows = [[k, restriction.near_product_entropy(k)]
-            for k in range(1, config.k_max + 1)]
+            for k in range(1, args.k_max + 1)]
     return {
-        "params": {"k_max": config.k_max},
+        "params": {"k_max": args.k_max},
         "columns": ["k", "entropy"],
         "rows": rows,
         "json_data": {
-            "k_max": config.k_max,
+            "k_max": args.k_max,
             "series": [{"k": k, "entropy": value} for k, value in rows],
         },
     }
@@ -421,33 +397,16 @@ def _emit(text: str, out: str | None) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        format=args.format,
-        out=args.out,
-        k=getattr(args, "k", None),
-        n=getattr(args, "n", None),
-        seed=getattr(args, "seed", None),
-        tol=getattr(args, "tol", None),
-        k_max=getattr(args, "k_max", None),
-        state_path=getattr(args, "state", None),
-        offset=getattr(args, "offset", None),
-        restarts=getattr(args, "restarts", None),
-        max_iters=getattr(args, "max_iters", None),
-        step0=getattr(args, "step0", None),
-        trace=getattr(args, "trace", False),
-        restriction_table=getattr(args, "restriction", False),
-    )
     try:
-        result = _COMMANDS[config.command](config)
+        result = _COMMANDS[args.command](args)
     except (HoloentError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"holoent {config.command}: {exc}", file=sys.stderr)
+        print(f"holoent {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if config.format == "csv":
-        text = render_csv(config.command, result)
+    if args.format == "csv":
+        text = render_csv(args.command, result)
     else:
-        text = render_json(config.command, result)
-    _emit(text, config.out)
+        text = render_json(args.command, result)
+    _emit(text, args.out)
     return result.get("exit_code", EXIT_OK)
 
 

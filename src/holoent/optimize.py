@@ -14,10 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrum, NotNormalized
-from .states import StateTensor, entropy_from_squared_schmidt
+from .states import (
+    ORTHONORMAL_TOL,
+    StateTensor,
+    entropy_from_squared_schmidt,
+    orthonormality_defect,
+)
 
 COORD_NORM_TOL = 1e-8
-ORTHONORMAL_TOL = 1e-10
 DEGENERACY_GAP = 1e-10
 # logarithm floor used inside gradients only; reported values drop
 # near-zero Schmidt weights instead of flooring them
@@ -46,8 +50,7 @@ class OptProblem:
         if not self.subspace:
             raise ValueError("subspace must be nonempty")
         vectors = np.column_stack([v.coeffs.reshape(-1) for v in self.subspace])
-        gram = vectors.conj().T @ vectors
-        defect = np.max(np.abs(gram - np.eye(len(self.subspace))))
+        defect = orthonormality_defect(vectors)
         if defect > ORTHONORMAL_TOL:
             raise ValueError(f"subspace is not orthonormal (defect {defect:.3e})")
         if self.max_iters < 1 or self.step0 <= 0 or self.tol_grad <= 0 or self.restarts < 1:

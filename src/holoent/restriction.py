@@ -4,8 +4,10 @@ The circle is z = e^{it}, w = e^{-it} in the affine frame, so the basis
 product e_i (x) e_j restricts to a single Fourier mode of frequency
 d = i - j with amplitude (k+1) sqrt(binom(k,i) binom(k,j)). Membership in
 the kernel of the restriction map is therefore one homogeneous linear
-condition per mode, collected here as an explicit constraint matrix, and
-the kernel itself is computed as its orthonormal null space.
+condition per mode, collected here as an explicit constraint matrix. The
+conditions of different modes involve disjoint coefficients, so the
+kernel is built mode by mode: on the diagonal i - j = d it is the
+orthocomplement of that diagonal's weight vector.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ import numpy as np
 import scipy.linalg
 
 from .states import StateTensor
-
-RANK_TOL = 1e-10
 
 
 def _sqrt_binom_products(k: int) -> np.ndarray:
@@ -123,17 +123,34 @@ def _fix_column_signs(columns: np.ndarray) -> np.ndarray:
     return cols
 
 
-def kernel_basis(k: int, tol: float = RANK_TOL) -> list[StateTensor]:
-    """Orthonormal basis of the restriction kernel, k^2 elements.
+def _orthocomplement(weights: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the complement of a nonzero vector, as columns.
 
-    The null space of the constraint matrix is extracted with a
-    rank-revealing orthogonal factorization at relative tolerance tol;
-    signs are fixed deterministically for reproducible output.
+    A single nonzero row has rank exactly 1, so the result always has
+    len(weights) - 1 columns; signs are fixed for reproducible output.
     """
-    a = constraint_system(k).matrix
-    null = scipy.linalg.null_space(a, rcond=tol)
-    null = _fix_column_signs(null)
-    return [StateTensor(k, null[:, c].reshape(k + 1, k + 1)) for c in range(null.shape[1])]
+    return _fix_column_signs(scipy.linalg.null_space(weights[None, :]))
+
+
+def kernel_basis(k: int) -> list[StateTensor]:
+    """Orthonormal basis of the restriction kernel, exactly k^2 elements.
+
+    Mode d = i - j constrains only the coefficients on that diagonal, so
+    its kernel block is the orthocomplement of the weights
+    sqrt(binom(k,i) binom(k,i-d)) placed back on the diagonal: k - |d|
+    states per mode. States are listed mode by mode, d = -k..k.
+    """
+    if k < 1:
+        raise ValueError("level k must be >= 1")
+    w = _sqrt_binom_products(k)
+    basis = []
+    for d in range(-k, k + 1):
+        rows = np.arange(max(0, d), min(k, k + d) + 1)
+        for column in _orthocomplement(w[rows, rows - d]).T:
+            c = np.zeros((k + 1, k + 1))
+            c[rows, rows - d] = column
+            basis.append(StateTensor(k, c))
+    return basis
 
 
 def diagonal_kernel_basis(k: int) -> list[StateTensor]:
@@ -141,12 +158,12 @@ def diagonal_kernel_basis(k: int) -> list[StateTensor]:
 
     Diagonal states sum_j a_j e_j (x) e_j lie in the kernel exactly when
     sum_j binom(k,j) a_j = 0, so this is the orthocomplement of the
-    binomial vector inside the diagonal subspace.
+    binomial vector inside the diagonal subspace: the d = 0 block of
+    kernel_basis.
     """
     if k < 1:
         raise ValueError("level k must be >= 1")
-    row = np.array([[float(math.comb(k, j)) for j in range(k + 1)]])
-    null = _fix_column_signs(scipy.linalg.null_space(row))
+    null = _orthocomplement(np.array([float(math.comb(k, j)) for j in range(k + 1)]))
     return [StateTensor.from_diagonal(k, null[:, c]) for c in range(null.shape[1])]
 
 

@@ -19,6 +19,7 @@ ENTROPY_ZERO_FLOOR = 1e-14
 
 NORM_TOL = 1e-10
 ZERO_NORM_TOL = 1e-14
+ORTHONORMAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -110,6 +111,12 @@ class ReducedDensity:
 def frobenius_norm(state: StateTensor) -> float:
     """Norm of the state, i.e. the Frobenius norm of its coefficient matrix."""
     return float(np.linalg.norm(state.coeffs))
+
+
+def orthonormality_defect(vectors: np.ndarray) -> float:
+    """Largest entry of |V^H V - I| over the columns V of a matrix."""
+    gram = vectors.conj().T @ vectors
+    return float(np.max(np.abs(gram - np.eye(vectors.shape[1]))))
 
 
 def schmidt(state: StateTensor) -> SchmidtData:

@@ -18,9 +18,7 @@ import numpy as np
 
 from .errors import DomainError, NotOrthonormal
 from .sections import monomial_integral
-from .states import StateTensor
-
-ORTHONORMAL_TOL = 1e-10
+from .states import ORTHONORMAL_TOL, StateTensor, orthonormality_defect
 
 
 @dataclass(frozen=True)
@@ -207,8 +205,7 @@ def projection_matrix(basis: list[StateTensor], k: int | None = None) -> Toeplit
         return ToeplitzMatrix(k, np.zeros((dim, dim), dtype=complex))
     k = basis[0].k
     vectors = np.column_stack([v.coeffs.reshape(-1) for v in basis])
-    gram = vectors.conj().T @ vectors
-    defect = np.max(np.abs(gram - np.eye(len(basis))))
+    defect = orthonormality_defect(vectors)
     if defect > ORTHONORMAL_TOL:
         raise NotOrthonormal(f"basis Gram matrix deviates from identity by {defect:.3e}")
     return ToeplitzMatrix(k, vectors @ vectors.conj().T)

@@ -89,6 +89,20 @@ def test_kernel_json_schema(capsys):
     assert len(payload["data"]["basis"]) == 4
 
 
+def test_kernel_params_carry_no_tolerance(capsys):
+    _, out, _ = run_cli(capsys, "kernel", "--k", "2")
+    comments, _, _ = parse_csv(out)
+    assert comments == {"command": "kernel", "k": "2", "dim": "4"}
+    _, out, _ = run_cli(capsys, "kernel", "--k", "2", "--format", "json")
+    assert validate_json(out)["params"] == {"k": 2, "dim": 4}
+
+
+def test_kernel_rejects_tolerance_flag(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["kernel", "--k", "2", "--tol", "1e-3"])
+    assert excinfo.value.code == 2
+
+
 def test_named_vectors_table(capsys):
     code, out, _ = run_cli(capsys, "named-vectors", "--k", "5")
     assert code == 0

@@ -113,6 +113,50 @@ def test_kernel_basis_dimension_and_membership(k):
         assert restrict(v).max_abs() <= 1e-10
 
 
+@pytest.mark.parametrize("k", [35, 40, 60])
+def test_kernel_basis_exact_at_high_levels(k):
+    # weights span many orders of magnitude here, so the residual is
+    # measured against the largest constraint row norm (k+1) sqrt(C(2k,k))
+    basis = kernel_basis(k)
+    assert len(basis) == k * k
+    scale = (k + 1) * math.sqrt(math.comb(2 * k, k))
+    for v in basis:
+        assert restrict(v).max_abs() / scale <= 1e-12
+    if k <= 40:
+        vectors = np.column_stack([v.coeffs.reshape(-1) for v in basis])
+        gram = vectors.conj().T @ vectors
+        assert np.max(np.abs(gram - np.eye(k * k))) <= 1e-12
+
+
+def _mode_of(state):
+    i, j = np.nonzero(state.coeffs)
+    modes = set((i - j).tolist())
+    assert len(modes) == 1
+    return modes.pop()
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 12])
+def test_kernel_basis_lists_single_diagonal_states_mode_by_mode(k):
+    modes = [_mode_of(v) for v in kernel_basis(k)]
+    expected = [d for d in range(-k, k + 1) for _ in range(k - abs(d))]
+    assert modes == expected
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 20])
+def test_kernel_basis_zero_mode_block_is_diagonal_kernel_basis(k):
+    start = k * (k - 1) // 2
+    block = kernel_basis(k)[start:start + k]
+    diagonal = diagonal_kernel_basis(k)
+    assert len(block) == len(diagonal) == k
+    for a, b in zip(block, diagonal):
+        assert np.array_equal(a.coeffs, b.coeffs)
+
+
+def test_kernel_basis_rejects_level_zero():
+    with pytest.raises(ValueError):
+        kernel_basis(0)
+
+
 def test_kernel_basis_level_one_is_bell_line():
     basis = kernel_basis(1)
     assert len(basis) == 1
