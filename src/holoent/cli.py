@@ -169,17 +169,19 @@ def cmd_entropy(args: argparse.Namespace) -> dict:
                 ],
             },
         }
+    norm = frobenius_norm(state)
+    entropy = entanglement_entropy(state)
+    rank = schmidt_rank(state)
     alphas = schmidt(state).alphas
     return {
         "params": params,
         "columns": ["k", "norm", "entropy", "schmidt_rank"],
-        "rows": [[state.k, frobenius_norm(state), entanglement_entropy(state),
-                  schmidt_rank(state)]],
+        "rows": [[state.k, norm, entropy, rank]],
         "json_data": {
             "k": state.k,
-            "norm": frobenius_norm(state),
-            "entropy": entanglement_entropy(state),
-            "schmidt_rank": schmidt_rank(state),
+            "norm": norm,
+            "entropy": entropy,
+            "schmidt_rank": rank,
             "schmidt_coefficients": alphas.tolist(),
         },
     }
@@ -211,14 +213,14 @@ def cmd_named_vectors(args: argparse.Namespace) -> dict:
     rows = []
     records = []
     for name, state in named:
+        entropy = entanglement_entropy(state)
         rows.append([
             name,
-            entanglement_entropy(state),
+            entropy,
             schmidt_rank(state),
             restriction.restrict(state).max_abs(),
         ])
-        records.append({"name": name, "state": state.to_dict(),
-                        "entropy": entanglement_entropy(state)})
+        records.append({"name": name, "state": state.to_dict(), "entropy": entropy})
     return {
         "params": {"k": k},
         "columns": ["name", "entropy", "schmidt_rank", "restriction_max_abs"],

@@ -215,8 +215,9 @@ def critical_residual(state: StateTensor, support_tol: float = 1e-10) -> float:
 
     Stationary diagonal states have all squared coefficients equal on
     their support, so zero residual is the stationarity certificate.
-    Entries below support_tol are ignored, matching the even-level
-    extremal construction whose middle coefficient vanishes.
+    Entries below support_tol are ignored, so states with vanishing
+    coefficients, such as the Bell-type pair, are certified on their
+    support.
     """
     if not state.is_diagonal():
         raise ValueError("critical residual is defined for diagonal states")

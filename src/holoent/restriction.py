@@ -18,19 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .sections import _sqrt_binom_products
 from .states import StateTensor
-
-
-def _sqrt_binom_products(k: int) -> np.ndarray:
-    """Weights w_ij = sqrt(binom(k,i) binom(k,j)), exact where the product is a square."""
-    binoms = [math.comb(k, j) for j in range(k + 1)]
-    w = np.empty((k + 1, k + 1))
-    for i in range(k + 1):
-        for j in range(k + 1):
-            m = binoms[i] * binoms[j]
-            r = math.isqrt(m)
-            w[i, j] = float(r) if r * r == m else math.sqrt(m)
-    return w
 
 
 @dataclass(frozen=True)
@@ -199,22 +188,11 @@ def bell_vector(k: int) -> StateTensor:
 
 
 def max_entropy_vector(k: int) -> StateTensor:
-    """Diagonal kernel state of extremal entropy.
+    """Diagonal kernel state of extremal entropy at every level.
 
-    Odd k: signs flip across the middle with |a_j| = 1/sqrt(k+1), giving
-    full Schmidt rank and entropy ln(k+1). Even k: the middle coefficient
-    is zero and the rest carry |a_j| = 1/sqrt(k), giving entropy ln k.
-    Both sign patterns cancel against the palindromic binomial weights.
+    a_j = (-1)^j / sqrt(k+1): the alternating signs cancel against the
+    binomial weights because sum_j (-1)^j binom(k,j) = 0, and the equal
+    moduli give full Schmidt rank and entropy ln(k+1), the global bound.
     """
-    diag = np.zeros(k + 1, dtype=complex)
-    if k % 2 == 1:
-        amp = 1.0 / math.sqrt(k + 1.0)
-        for j in range(k + 1):
-            diag[j] = amp if j < (k + 1) // 2 else -amp
-    else:
-        amp = 1.0 / math.sqrt(float(k))
-        for j in range(k + 1):
-            if j == k // 2:
-                continue
-            diag[j] = amp if j < k // 2 else -amp
-    return StateTensor.from_diagonal(k, diag)
+    signs = np.where(np.arange(k + 1) % 2 == 0, 1.0, -1.0)
+    return StateTensor.from_diagonal(k, signs / math.sqrt(k + 1.0))

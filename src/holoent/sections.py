@@ -4,11 +4,15 @@ In the affine chart z = z0/z1 the basis is e_j = N_{k,j} z^j with
 N_{k,j} = sqrt((k+1) * binom(k, j)); the Fubini-Study measure is
 normalized to total volume 1, which is exactly the choice that makes
 these e_j orthonormal. Monomial moments of that measure have the closed
-form a! (N-a)! / (N+1)! and are kept as exact rationals.
+form a! (N-a)! / (N+1)! and are kept as exact rationals. The weight
+table sqrt(binom(k,i) binom(k,j)) of products of two basis
+normalizations is built here once per level and shared by the
+restriction and Toeplitz layers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -40,6 +44,23 @@ def basis_norm_const(k: int, j: int) -> float:
         - math.lgamma(k - j + 1)
     )
     return math.exp(0.5 * log_sq)
+
+
+@functools.lru_cache
+def _sqrt_binom_products(k: int) -> np.ndarray:
+    """Weights w_ij = sqrt(binom(k,i) binom(k,j)), exact where the product is a square.
+
+    The table is cached per level and returned read-only.
+    """
+    binoms = [math.comb(k, j) for j in range(k + 1)]
+    w = np.empty((k + 1, k + 1))
+    for i in range(k + 1):
+        for j in range(k + 1):
+            m = binoms[i] * binoms[j]
+            r = math.isqrt(m)
+            w[i, j] = float(r) if r * r == m else math.sqrt(m)
+    w.setflags(write=False)
+    return w
 
 
 def monomial_integral(a: int, N: int) -> Fraction:

@@ -5,19 +5,21 @@ of the two sphere factors. Matrix elements against the orthonormal
 product basis reduce to the closed-form monomial moments, so the
 orthogonal projection onto the holomorphic subspace never has to be
 materialized: expanding against the basis realizes it implicitly.
-Rational term coefficients are propagated exactly.
+Every term is a product f(z) g(w), so its compression is the tensor
+product of two one-factor compressions, and each of those is a single
+shifted diagonal of length at most k+1. Moments and basis weights are
+exact; each factor entry is rounded once.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError, NotOrthonormal
-from .sections import monomial_integral
+from .sections import _sqrt_binom_products, monomial_integral
 from .states import ORTHONORMAL_TOL, StateTensor, orthonormality_defect
 
 
@@ -66,17 +68,23 @@ class SymbolExpr:
 
 @dataclass(frozen=True)
 class ToeplitzMatrix:
-    """Operator matrix in the product basis e_a (x) e_b, lexicographic in (a, b)."""
+    """Operator matrix in the product basis e_a (x) e_b, lexicographic in (a, b).
+
+    Entries are stored as a read-only complex array. A read-only complex
+    array is kept as given; anything else is copied first.
+    """
 
     k: int
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.entries, dtype=complex)
+        m = self.entries
+        if not (isinstance(m, np.ndarray) and m.dtype == complex and not m.flags.writeable):
+            m = np.array(m, dtype=complex)
+            m.setflags(write=False)
         dim = (self.k + 1) ** 2
         if m.shape != (dim, dim):
             raise ValueError(f"entries must be {dim}x{dim}, got {m.shape}")
-        m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
     @property
@@ -130,16 +138,40 @@ def kernel_projection_symbol() -> SymbolExpr:
     )
 
 
+def _factor_diagonal(k: int, p: int, q: int, nu: int):
+    """One-factor compression of z^p zbar^q / (1+|z|^2)^nu at level k.
+
+    The factor maps e_a to a multiple of e_c with c = a + p - q, so its
+    matrix is a single shifted diagonal. Requires |p - q| <= k, so that
+    the diagonal is nonempty. Returns the source indices a, the targets
+    c (both in [0, k]) and the entries
+    (k+1) sqrt(binom(k,a) binom(k,c)) I(a+p, k+nu).
+
+    Raises
+    ------
+    DomainError
+        If some entry needs a divergent moment.
+    """
+    a = np.arange(max(0, q - p), min(k, k + q - p) + 1)
+    c = a + p - q
+    if a[-1] + p > k + nu:
+        raise DomainError(
+            f"term needs moment ({a[-1] + p}, {k + nu}); symbol decays too slowly for k={k}"
+        )
+    moments = [float(monomial_integral(int(i) + p, k + nu)) for i in a]
+    return a, c, (k + 1) * _sqrt_binom_products(k)[a, c] * np.array(moments)
+
+
 def toeplitz_matrix(symbol: SymbolExpr, k: int) -> ToeplitzMatrix:
     """Matrix of the compression of multiplication by the symbol at level k.
 
     Entry ((c,d),(a,b)) pairs symbol * e_a (x) e_b against e_c (x) e_d.
-    Angular-momentum conservation makes a term contribute only when
-    c = a + pz - qz and d = b + pw - qw; surviving contributions are
-    products of two monomial moments times the basis normalizations.
-    Accumulation stays in exact rational arithmetic whenever the term
-    coefficients are rational and the binomial product under the square
-    root is a perfect square.
+    Each term is a product f(z) g(w), so its compression is the tensor
+    product of two one-factor compressions, each a single shifted
+    diagonal (angular-momentum conservation: c = a + pz - qz,
+    d = b + pw - qw). Moments and weights are exact; each factor entry
+    is one rounded product, so the result is bit-identical to the exact
+    value at k = 1 and within a few ulps of it above.
 
     Raises
     ------
@@ -150,40 +182,20 @@ def toeplitz_matrix(symbol: SymbolExpr, k: int) -> ToeplitzMatrix:
     if k < 1:
         raise ValueError("level k must be >= 1")
     n = k + 1
-    dim = n * n
-    binoms = [math.comb(k, j) for j in range(n)]
-
-    # raw per-entry sums of coef * I_z * I_w, before basis normalization
-    sums: dict = {}
-    for a in range(n):
-        for b in range(n):
-            col = a * n + b
-            for t in symbol.terms:
-                c = a + t.pz - t.qz
-                d = b + t.pw - t.qw
-                if not (0 <= c <= k and 0 <= d <= k):
-                    continue
-                if a + t.pz > k + t.nz or b + t.pw > k + t.nw:
-                    raise DomainError(
-                        f"term needs moment ({a + t.pz}, {k + t.nz}) or "
-                        f"({b + t.pw}, {k + t.nw}); symbol decays too slowly for k={k}"
-                    )
-                iz = monomial_integral(a + t.pz, k + t.nz)
-                iw = monomial_integral(b + t.pw, k + t.nw)
-                key = (c * n + d, col)
-                sums[key] = sums.get(key, 0) + t.coef * iz * iw
-
-    entries = np.zeros((dim, dim), dtype=complex)
-    scale0 = (k + 1) ** 2
-    for (row, col), s in sums.items():
-        c, d = divmod(row, n)
-        a, b = divmod(col, n)
-        m = binoms[a] * binoms[b] * binoms[c] * binoms[d]
-        r = math.isqrt(m)
-        scale = scale0 * r if r * r == m else scale0 * math.sqrt(m)
-        entries[row, col] = complex(s * scale)
+    entries = np.zeros((n * n, n * n), dtype=complex)
+    # entries[c*n + d, a*n + b] viewed as blocks[c, d, a, b]
+    blocks = entries.reshape(n, n, n, n)
+    for t in symbol.terms:
+        if abs(t.pz - t.qz) > k or abs(t.pw - t.qw) > k:
+            continue  # the shift moves every basis index out of range
+        az, cz, vz = _factor_diagonal(k, t.pz, t.qz, t.nz)
+        aw, cw, vw = _factor_diagonal(k, t.pw, t.qw, t.nw)
+        # (a, b) -> (c, d) is one-to-one within a term, so += never collides
+        coef = complex(t.coef)
+        blocks[cz[:, None], cw[None, :], az[:, None], aw[None, :]] += coef * np.outer(vz, vw)
     if complex(symbol.offset) != 0:
-        entries[np.diag_indices(dim)] += complex(symbol.offset)
+        entries[np.diag_indices(n * n)] += complex(symbol.offset)
+    entries.setflags(write=False)  # frozen here, so ToeplitzMatrix needs no copy
     return ToeplitzMatrix(k, entries)
 
 

@@ -102,15 +102,12 @@ def test_criterion_4_diagonal_kernel_extremes():
     start = time.perf_counter()
     dims_ok = all(len(diagonal_kernel_basis(k)) == k for k in range(1, 31))
     constructed_ok = True
-    for k in range(1, 16, 2):
+    for k in range(1, 16):
         gap = abs(entanglement_entropy(max_entropy_vector(k)) - math.log(k + 1))
-        constructed_ok = constructed_ok and gap <= 1e-12
-    for k in range(2, 15, 2):
-        gap = abs(entanglement_entropy(max_entropy_vector(k)) - math.log(k))
         constructed_ok = constructed_ok and gap <= 1e-12
     optimizer_ok = True
     for k in range(1, 16):
-        target = math.log(k + 1) if k % 2 == 1 else math.log(k)
+        target = math.log(k + 1)
         result = maximize(
             OptProblem(subspace=tuple(diagonal_kernel_basis(k)), restarts=16, seed=2026)
         )

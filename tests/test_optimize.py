@@ -104,8 +104,7 @@ def test_maximize_diagonal_kernel_level3():
 def test_maximize_diagonal_kernel_level4_reaches_at_least_ln4():
     result = maximize(OptProblem(subspace=tuple(diagonal_kernel_basis(4)), seed=5))
     assert result.best_value >= math.log(4) - 1e-6
-    # the complex sphere holds more entropy than the even-level real
-    # construction; the observed optimum is reported as data
+    # no state exceeds the global bound, which max_entropy_vector attains
     assert result.best_value <= math.log(5) + 1e-9
 
 
@@ -184,7 +183,9 @@ def test_critical_residual_at_odd_extremal():
 
 
 def test_critical_residual_at_even_extremal_ignores_zero_entry():
-    assert critical_residual(max_entropy_vector(4)) <= 1e-12
+    # equal squared weights off a vanishing middle entry
+    zero_middle = StateTensor.from_diagonal(4, np.array([1, 1, 0, -1, -1]) / 2)
+    assert critical_residual(zero_middle) <= 1e-12
 
 
 def test_critical_residual_zero_on_bell_support():

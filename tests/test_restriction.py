@@ -291,8 +291,8 @@ def test_max_entropy_vector_even(k):
     state = max_entropy_vector(k)
     assert state.is_diagonal(tol=0.0)
     assert restrict(state).max_abs() <= 1e-10
-    assert abs(entanglement_entropy(state) - math.log(k)) <= 1e-12
-    assert schmidt_rank(state) == k
+    assert abs(entanglement_entropy(state) - math.log(k + 1)) <= 1e-12
+    assert schmidt_rank(state) == k + 1
 
 
 def test_fourier_mode_accessor_bounds():

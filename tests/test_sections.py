@@ -16,6 +16,7 @@ from holoent import (
     section_inner_product,
 )
 from holoent.errors import DomainError, IndexOutOfRange
+from holoent.sections import _sqrt_binom_products
 
 
 def radial_moment_oracle(a, N):
@@ -112,3 +113,11 @@ def test_evaluate_section_kernel_state_on_circle_point():
 
 def test_evaluate_section_zero_state():
     assert evaluate_section(StateTensor(2, np.zeros((3, 3))), 0.7 + 0.2j, -1.1j) == 0.0
+
+
+def test_weight_table_is_cached_and_read_only():
+    w = _sqrt_binom_products(4)
+    assert _sqrt_binom_products(4) is w
+    assert w[1, 1] == 4.0 and w[0, 4] == 1.0
+    with pytest.raises(ValueError):
+        w[0, 0] = 2.0

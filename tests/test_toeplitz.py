@@ -9,6 +9,7 @@ from holoent import (
     StateTensor,
     SymbolExpr,
     SymbolTerm,
+    ToeplitzMatrix,
     bell_vector,
     evaluate_symbol,
     kernel_basis,
@@ -208,6 +209,30 @@ def test_slowly_decaying_symbol_raises():
         toeplitz_matrix(SymbolExpr(terms=(SymbolTerm(1.0, pz=1, qz=1),)), 2)
 
 
+def test_divergent_term_without_entries_does_not_raise():
+    # |z|^2 alone diverges, but the w-shift of 3 > k moves every
+    # basis index out of range, so the term contributes nothing
+    f = SymbolExpr(terms=(SymbolTerm(1.0, pz=1, qz=1, pw=3, nw=3),), offset=1)
+    assert np.array_equal(toeplitz_matrix(f, 2).entries, np.eye(9))
+
+
+@pytest.mark.parametrize("k", [8, 20])
+def test_product_symbol_is_product_of_factor_compressions(k):
+    # z^2 zbar / (1+|z|^2)^2 times w wbar^3 / (1+|w|^2)^3 acts on the two
+    # factors separately, so its compression factors through them
+    fz = SymbolExpr(terms=(SymbolTerm(1.0, pz=2, qz=1, nz=2),))
+    gw = SymbolExpr(terms=(SymbolTerm(1.0, pw=1, qw=3, nw=3),))
+    product = SymbolExpr(terms=(SymbolTerm(1.0, pz=2, qz=1, pw=1, qw=3, nz=2, nw=3),))
+    T = toeplitz_matrix(product, k).entries
+    factored = toeplitz_matrix(fz, k).entries @ toeplitz_matrix(gw, k).entries
+    assert np.max(np.abs(T - factored)) <= 1e-12 * np.max(np.abs(factored))
+
+
+def test_projection_symbol_hermitian_at_level_40():
+    T = toeplitz_matrix(kernel_projection_symbol(), 40).entries
+    assert np.max(np.abs(T - T.conj().T)) <= 1e-12 * np.max(np.abs(T))
+
+
 def test_projection_matrix_of_bell_line():
     P = projection_matrix([bell_vector(1)]).entries
     assert np.max(np.abs(P - EXPECTED_LEVEL1_COMPRESSION)) < 1e-15
@@ -233,6 +258,15 @@ def test_projection_matrix_rejects_non_orthonormal():
     tilted = StateTensor(1, bell_vector(1).coeffs * 0.9)
     with pytest.raises(NotOrthonormal):
         projection_matrix([tilted])
+
+
+def test_matrix_freezes_a_copy_of_writeable_entries():
+    given = np.eye(4, dtype=complex)
+    T = ToeplitzMatrix(1, given)
+    given[0, 0] = 5.0
+    assert T.entries[0, 0] == 1.0
+    assert not T.entries.flags.writeable
+    assert not toeplitz_matrix(kernel_projection_symbol(), 1).entries.flags.writeable
 
 
 def test_matrix_serialization():
