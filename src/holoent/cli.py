@@ -1,10 +1,21 @@
 """Command-line front end: reproducible tables in CSV or JSON.
 
-Every subcommand is deterministic given its full flag set. CSV output
-carries provenance comment lines (# key=value) ahead of a stable header
-row; JSON output follows the schema shipped in schemas/output.schema.json.
-Exit codes: 0 success, 2 usage or precondition violation, 3 numerical
-non-convergence.
+Every subcommand is deterministic given its full flag set. Each ``cmd_*``
+returns one record, from which both output formats are derived:
+
+- ``params``: the flags and derived settings in effect, written as
+  ``# key=value`` provenance lines in CSV and as ``params`` in JSON;
+- ``columns`` and ``rows``: the CSV header and an iterable of rows of
+  plain Python values, consumed once by ``render_csv`` (a JSON run never
+  iterates it, so large tables are built only for CSV);
+- ``data``: the JSON payload, which holds StateTensor, ToeplitzMatrix and
+  ndarray values as they are; ``render_json`` serializes them through a
+  single ``json.dumps`` hook (a CSV run never converts them);
+- ``exit_code`` (optional): the exit status when it is not 0.
+
+JSON output follows the schema shipped in schemas/output.schema.json.
+Float flags must be finite. Exit codes: 0 success, 2 usage or
+precondition violation, 3 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -13,6 +24,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -35,25 +47,24 @@ EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _checked(convert, accept, expected: str):
+    """argparse type: convert the text, then reject a value that accept() refuses."""
+    def parse(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"{expected}, got {value}")
+        return value
+    # argparse names the type in its message for text that does not convert
+    parse.__name__ = convert.__name__
+    return parse
 
 
-def _sample_count(text: str) -> int:
-    value = int(text)
-    if value < 100:
-        raise argparse.ArgumentTypeError(f"need at least 100 samples, got {value}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {value}")
-    return value
+_positive_int = _checked(int, lambda v: v >= 1, "expected a positive integer")
+_sample_count = _checked(int, lambda v: v >= 100, "need at least 100 samples")
+_nonnegative_int = _checked(int, lambda v: v >= 0, "expected a nonnegative integer")
+_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0,
+                           "expected a finite positive number")
+_finite_float = _checked(float, math.isfinite, "expected a finite number")
 
 
 def _resolve_seed(seed: int | None) -> int:
@@ -101,8 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_positive_int, required=True, help="section degree (level)")
     p.add_argument("--restarts", type=_positive_int, default=16)
     p.add_argument("--max-iters", type=_positive_int, default=1000)
-    p.add_argument("--step0", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-8, help="gradient norm tolerance")
+    p.add_argument("--step0", type=_positive_float, default=1.0)
+    p.add_argument("--tol", type=_positive_float, default=1e-8, help="gradient norm tolerance")
     p.add_argument("--seed", type=_nonnegative_int, default=None,
                    help=f"RNG seed; defaults to ${SEED_ENV_VAR} if set, else 0")
     p.add_argument("--trace", action="store_true",
@@ -111,8 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("toeplitz-check",
                        help="compare the level-1 symbol compression with the kernel projection")
-    p.add_argument("--tol", type=float, default=1e-10, help="pass threshold on the max norm")
-    p.add_argument("--offset", type=float, default=None,
+    p.add_argument("--tol", type=_positive_float, default=1e-10,
+                   help="pass threshold on the max norm")
+    p.add_argument("--offset", type=_finite_float, default=None,
                    help="override the symbol's constant offset (default: -2)")
     _add_output_options(p)
 
@@ -133,19 +145,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _flat_state_columns(k: int) -> list[str]:
-    cols = []
-    for i in range(k + 1):
-        for j in range(k + 1):
-            cols.extend([f"re_{i}_{j}", f"im_{i}_{j}"])
-    return cols
+def _format_cell(value):
+    """CSV text of a bool (``true``/``false``); any other value passes unchanged."""
+    return str(value).lower() if isinstance(value, bool) else value
 
 
-def _flat_state_row(state: StateTensor) -> list[float]:
-    row = []
-    for value in state.coeffs.reshape(-1):
-        row.extend([value.real, value.imag])
-    return row
+def _table(records: list[dict]) -> dict:
+    """CSV columns (the keys) and rows (the values) of records sharing their keys."""
+    return {
+        "columns": list(records[0]),
+        "rows": ([_format_cell(value) for value in record.values()] for record in records),
+    }
+
+
+def _state_rows(states: list[StateTensor]):
+    """Rows [index, re, im, re, im, ...] of states, coefficients in C order.
+
+    A generator: the (count, k+1, k+1) stack is built on the first row.
+    """
+    flat = np.stack([state.coeffs for state in states]).view(float).reshape(len(states), -1)
+    for index, values in enumerate(flat):
+        yield [index, *values.tolist()]
+
+
+def _entry_rows(matrices: dict[str, np.ndarray]):
+    """Rows (name, row, col, re, im), one per entry of each named matrix, built lazily."""
+    stack = np.stack(list(matrices.values()))
+    which, row, col = np.indices(stack.shape).reshape(3, -1)
+    names = np.array(list(matrices))[which]
+    yield from zip(names.tolist(), row.tolist(), col.tolist(),
+                   stack.real.ravel().tolist(), stack.imag.ravel().tolist())
 
 
 def cmd_entropy(args: argparse.Namespace) -> dict:
@@ -157,49 +186,29 @@ def cmd_entropy(args: argparse.Namespace) -> dict:
     state = StateTensor.from_dict(record)
     params = {"state": args.state, "k": state.k}
     if args.restriction:
-        modes = restriction.restrict(state)
-        return {
-            "params": params,
-            "columns": ["d", "re", "im"],
-            "rows": [list(row) for row in modes.rows()],
-            "json_data": {
-                "k": state.k,
-                "restriction": [
-                    {"d": d, "re": re, "im": im} for d, re, im in modes.rows()
-                ],
-            },
-        }
-    norm = frobenius_norm(state)
-    entropy = entanglement_entropy(state)
-    rank = schmidt_rank(state)
-    alphas = schmidt(state).alphas
-    return {
-        "params": params,
-        "columns": ["k", "norm", "entropy", "schmidt_rank"],
-        "rows": [[state.k, norm, entropy, rank]],
-        "json_data": {
-            "k": state.k,
-            "norm": norm,
-            "entropy": entropy,
-            "schmidt_rank": rank,
-            "schmidt_coefficients": alphas.tolist(),
-        },
+        modes = [dict(zip(("d", "re", "im"), row)) for row in restriction.restrict(state).rows()]
+        return {"params": params, **_table(modes), "data": {"k": state.k, "restriction": modes}}
+    row = {
+        "k": state.k,
+        "norm": frobenius_norm(state),
+        "entropy": entanglement_entropy(state),
+        "schmidt_rank": schmidt_rank(state),
     }
+    data = {**row, "schmidt_coefficients": schmidt(state).alphas}
+    return {"params": params, **_table([row]), "data": data}
 
 
 def cmd_kernel(args: argparse.Namespace) -> dict:
     basis = restriction.kernel_basis(args.k)
     params = {"k": args.k, "dim": len(basis)}
-    rows = [[index] + _flat_state_row(state) for index, state in enumerate(basis)]
+    n = args.k + 1
+    columns = ["vector"] + [f"{part}_{i}_{j}"
+                            for i in range(n) for j in range(n) for part in ("re", "im")]
     return {
         "params": params,
-        "columns": ["vector"] + _flat_state_columns(args.k),
-        "rows": rows,
-        "json_data": {
-            "k": args.k,
-            "dim": len(basis),
-            "basis": [state.to_dict() for state in basis],
-        },
+        "columns": columns,
+        "rows": _state_rows(basis),
+        "data": {**params, "basis": basis},
     }
 
 
@@ -210,23 +219,18 @@ def cmd_named_vectors(args: argparse.Namespace) -> dict:
         ("bell", restriction.bell_vector(k)),
         ("max_entropy", restriction.max_entropy_vector(k)),
     ]
-    rows = []
-    records = []
+    table = []
+    vectors = []
     for name, state in named:
         entropy = entanglement_entropy(state)
-        rows.append([
-            name,
-            entropy,
-            schmidt_rank(state),
-            restriction.restrict(state).max_abs(),
-        ])
-        records.append({"name": name, "state": state.to_dict(), "entropy": entropy})
-    return {
-        "params": {"k": k},
-        "columns": ["name", "entropy", "schmidt_rank", "restriction_max_abs"],
-        "rows": rows,
-        "json_data": {"k": k, "vectors": records},
-    }
+        table.append({
+            "name": name,
+            "entropy": entropy,
+            "schmidt_rank": schmidt_rank(state),
+            "restriction_max_abs": restriction.restrict(state).max_abs(),
+        })
+        vectors.append({"name": name, "state": state, "entropy": entropy})
+    return {"params": {"k": k}, **_table(table), "data": {"k": k, "vectors": vectors}}
 
 
 def cmd_maximize(args: argparse.Namespace) -> dict:
@@ -248,34 +252,23 @@ def cmd_maximize(args: argparse.Namespace) -> dict:
         "tol": args.tol,
         "seed": seed,
     }
-    json_data = {
+    row = {
         "k": args.k,
         "best_value": result.best_value,
         "grad_norm": result.grad_norm,
         "iterations": result.iterations,
         "critical_residual": result.critical_residual,
         "converged": result.converged,
-        "best_state": result.best_state.to_dict(),
     }
+    data = {**row, "best_state": result.best_state}
     if args.trace:
-        json_data["restart_values"] = list(result.restart_values)
+        data["restart_values"] = result.restart_values
     return {
         "params": params,
-        "columns": ["k", "best_value", "grad_norm", "iterations",
-                    "critical_residual", "converged"],
-        "rows": [[args.k, result.best_value, result.grad_norm, result.iterations,
-                  result.critical_residual, result.converged]],
-        "json_data": json_data,
+        **_table([row]),
+        "data": data,
         "exit_code": EXIT_OK if result.converged else EXIT_NO_CONVERGENCE,
     }
-
-
-def _matrix_rows(tag: str, matrix: np.ndarray) -> list[list]:
-    rows = []
-    for r in range(matrix.shape[0]):
-        for c in range(matrix.shape[1]):
-            rows.append([tag, r, c, matrix[r, c].real, matrix[r, c].imag])
-    return rows
 
 
 def cmd_toeplitz_check(args: argparse.Namespace) -> dict:
@@ -285,67 +278,44 @@ def cmd_toeplitz_check(args: argparse.Namespace) -> dict:
     compression = toeplitz.toeplitz_matrix(symbol, 1)
     projection = toeplitz.projection_matrix([restriction.bell_vector(1)])
     diff = float(np.max(np.abs(compression.entries - projection.entries)))
-    status = "PASS" if diff <= args.tol else "FAIL"
     params = {
         "k": 1,
         "offset": float(complex(symbol.offset).real),
         "tol": args.tol,
         "max_diff": diff,
-        "status": status,
+        "status": "PASS" if diff <= args.tol else "FAIL",
     }
-    rows = _matrix_rows("toeplitz", compression.entries)
-    rows += _matrix_rows("projection", projection.entries)
+    data = {key: params[key] for key in ("k", "max_diff", "status")}
     return {
         "params": params,
         "columns": ["matrix", "row", "col", "re", "im"],
-        "rows": rows,
-        "json_data": {
-            "k": 1,
-            "max_diff": diff,
-            "status": status,
-            "toeplitz": compression.to_dict(),
-            "projection": projection.to_dict(),
-        },
+        "rows": _entry_rows({"toeplitz": compression.entries,
+                             "projection": projection.entries}),
+        "data": {**data, "toeplitz": compression, "projection": projection},
     }
 
 
 def cmd_sphere_average(args: argparse.Namespace) -> dict:
     seed = _resolve_seed(args.seed)
     estimate = sampling.mc_mean_entropy(args.k, args.n, seed)
-    page_exact = sampling.page_mean(args.k + 1)
-    prediction = sampling.asymptotic_mean_entropy(sampling.cp1_model(), args.k)
-    params = {"k": args.k, "n": args.n, "seed": seed}
-    row = [args.k, args.n, estimate.mean, estimate.stderr,
-           page_exact, prediction, seed]
-    return {
-        "params": params,
-        "columns": ["k", "n", "mean", "stderr", "page_exact",
-                    "asymptotic_prediction", "seed"],
-        "rows": [row],
-        "json_data": {
-            "k": args.k,
-            "n": args.n,
-            "mean": estimate.mean,
-            "stderr": estimate.stderr,
-            "page_exact": page_exact,
-            "asymptotic_prediction": prediction,
-            "seed": seed,
-        },
+    row = {
+        "k": args.k,
+        "n": args.n,
+        "mean": estimate.mean,
+        "stderr": estimate.stderr,
+        "page_exact": sampling.page_mean(args.k + 1),
+        "asymptotic_prediction": sampling.asymptotic_mean_entropy(sampling.cp1_model(), args.k),
+        "seed": seed,
     }
+    params = {"k": args.k, "n": args.n, "seed": seed}
+    return {"params": params, **_table([row]), "data": row}
 
 
 def cmd_bk_series(args: argparse.Namespace) -> dict:
-    rows = [[k, restriction.near_product_entropy(k)]
-            for k in range(1, args.k_max + 1)]
-    return {
-        "params": {"k_max": args.k_max},
-        "columns": ["k", "entropy"],
-        "rows": rows,
-        "json_data": {
-            "k_max": args.k_max,
-            "series": [{"k": k, "entropy": value} for k, value in rows],
-        },
-    }
+    params = {"k_max": args.k_max}
+    series = [{"k": k, "entropy": restriction.near_product_entropy(k)}
+              for k in range(1, args.k_max + 1)]
+    return {"params": params, **_table(series), "data": {**params, "series": series}}
 
 
 _COMMANDS = {
@@ -359,34 +329,45 @@ _COMMANDS = {
 }
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        # canonical builtin repr even for numpy scalars
-        return repr(float(value))
-    return str(value)
-
-
 def render_csv(command: str, result: dict) -> str:
+    """CSV text of a command record: provenance comments, header, then rows.
+
+    ``result["rows"]`` is an iterable of rows of plain Python values; it
+    is consumed once, here. The csv module writes a float as its repr;
+    bools are written ``true``/``false``.
+    """
     buffer = io.StringIO()
     buffer.write(f"# command={command}\n")
     for key, value in result["params"].items():
         buffer.write(f"# {key}={_format_cell(value)}\n")
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(result["columns"])
-    for row in result["rows"]:
-        writer.writerow([_format_cell(cell) for cell in row])
+    writer.writerows(result["rows"])
     return buffer.getvalue()
 
 
+def _to_json(value):
+    """json.dumps hook for the library objects a record's ``data`` holds."""
+    if isinstance(value, (StateTensor, toeplitz.ToeplitzMatrix)):
+        return value.to_dict()
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def render_json(command: str, result: dict) -> str:
+    """JSON text {"command", "params", "data"} of a command record.
+
+    ``result["data"]`` may hold StateTensor, ToeplitzMatrix and ndarray
+    values as they are; they are serialized here, through ``to_dict()``
+    and ``tolist()``. Any other unknown object raises TypeError.
+    """
     payload = {
         "command": command,
         "params": result["params"],
-        "data": result["json_data"],
+        "data": result["data"],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, default=_to_json) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:

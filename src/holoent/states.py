@@ -78,8 +78,11 @@ class StateTensor:
 
     @classmethod
     def from_dict(cls, record: dict) -> "StateTensor":
+        """Inverse of to_dict; raises ValueError on non-finite coefficients."""
         re = np.asarray(record["re"], dtype=float)
         im = np.asarray(record["im"], dtype=float)
+        if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+            raise ValueError("state coefficients must be finite")
         return cls(int(record["k"]), re + 1j * im)
 
 

@@ -5,13 +5,16 @@ import io
 import json
 import math
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
 from holoent import bell_vector, near_product_entropy, page_mean
-from holoent.cli import main
+from holoent.cli import main, render_json
+
+GOLDEN = Path(__file__).parent / "golden"
 
 SCHEMA = json.loads(
     resources.files("holoent").joinpath("schemas/output.schema.json").read_text()
@@ -296,3 +299,102 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code == 2
+
+
+NAN_STATE = '{"k": 1, "re": [[NaN, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, Infinity]]}'
+
+
+@pytest.mark.parametrize("argv", [
+    ("toeplitz-check", "--offset", "nan", "--format", "json"),
+    ("toeplitz-check", "--offset", "-inf"),
+    ("toeplitz-check", "--tol", "nan"),
+    ("toeplitz-check", "--tol", "0"),
+    ("maximize", "--k", "2", "--tol", "nan", "--format", "json"),
+    ("maximize", "--k", "2", "--tol", "inf"),
+    ("maximize", "--k", "2", "--step0", "nan"),
+    ("maximize", "--k", "2", "--step0", "-1"),
+    ("entropy", "--state", "{state}", "--restriction", "--format", "json"),
+    ("entropy", "--state", "{state}"),
+])
+def test_non_finite_input_is_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "state.json"
+    path.write_text(NAN_STATE)
+    argv = [arg.replace("{state}", str(path)) for arg in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_render_json_rejects_unknown_objects():
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        render_json("kernel", {"params": {}, "data": {"basis": [object()]}})
+
+
+# Outputs that are pure arithmetic (no LAPACK, no RNG), so their bytes do
+# not depend on the platform; the entropy case reads tests/golden/state_k2.json.
+GOLDEN_CASES = {
+    "bk_series_k10": ("bk-series", "--k-max", "10"),
+    "toeplitz_check": ("toeplitz-check",),
+    "toeplitz_check_offset": ("toeplitz-check", "--offset", "-1.9"),
+    "entropy_restriction": ("entropy", "--state", "-", "--restriction"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_output_matches_golden_bytes(capsys, monkeypatch, name, fmt):
+    monkeypatch.setattr("sys.stdin", io.StringIO((GOLDEN / "state_k2.json").read_text()))
+    code, out, _ = run_cli(capsys, *GOLDEN_CASES[name], "--format", fmt)
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{name}.{fmt}").read_bytes()
+
+
+def csv_text(value):
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+def json_records(command, data):
+    """The JSON records that correspond, in order, to the CSV rows."""
+    if command == "kernel":
+        n = data["k"] + 1
+        return [
+            {"vector": index} | {f"{part}_{i}_{j}": state[part][i][j]
+                                 for i in range(n) for j in range(n) for part in ("re", "im")}
+            for index, state in enumerate(data["basis"])
+        ]
+    if command == "named-vectors":
+        return data["vectors"]
+    return [data]
+
+
+@pytest.mark.parametrize("argv", [
+    ("kernel", "--k", "3"),
+    ("named-vectors", "--k", "4"),
+    ("maximize", "--k", "3", "--seed", "2", "--restarts", "4"),
+    ("sphere-average", "--k", "2", "--n", "400", "--seed", "5"),
+    ("entropy", "--state", "-"),
+])
+def test_csv_and_json_carry_equal_shared_fields(capsys, monkeypatch, argv):
+    state = json.dumps({"k": 2, "re": [[0.6, 0, 0], [0, 0, 0], [0, 0, 0.8]],
+                        "im": [[0, 0, 0]] * 3})
+    monkeypatch.setattr("sys.stdin", io.StringIO(state))
+    _, out, _ = run_cli(capsys, *argv)
+    comments, header, rows = parse_csv(out)
+    monkeypatch.setattr("sys.stdin", io.StringIO(state))
+    _, out, _ = run_cli(capsys, *argv, "--format", "json")
+    payload = json.loads(out)
+
+    assert comments == {"command": payload["command"],
+                        **{key: csv_text(value) for key, value in payload["params"].items()}}
+    records = json_records(argv[0], payload["data"])
+    assert len(rows) == len(records)
+    shared = 0
+    for row, record in zip(rows, records):
+        for key, text in zip(header, row):
+            if key in record:
+                assert text == csv_text(record[key]), key
+                shared += 1
+    assert shared >= 2 * len(rows)
