@@ -128,18 +128,22 @@ def kernel_basis(k: int) -> list[StateTensor]:
     its kernel block is the orthocomplement of the weights
     sqrt(binom(k,i) binom(k,i-d)) placed back on the diagonal: k - |d|
     states per mode. States are listed mode by mode, d = -k..k.
+
+    The states are read-only views into one (k^2, k+1, k+1) block, which
+    is freed once no state of the basis is referenced.
     """
     if k < 1:
         raise ValueError("level k must be >= 1")
     w = _sqrt_binom_products(k)
-    basis = []
+    stack = np.zeros((k * k, k + 1, k + 1), dtype=complex)
+    start = 0
     for d in range(-k, k + 1):
         rows = np.arange(max(0, d), min(k, k + d) + 1)
-        for column in _orthocomplement(w[rows, rows - d]).T:
-            c = np.zeros((k + 1, k + 1))
-            c[rows, rows - d] = column
-            basis.append(StateTensor(k, c))
-    return basis
+        block = _orthocomplement(w[rows, rows - d]).T
+        stack[start:start + len(block), rows, rows - d] = block
+        start += len(block)
+    stack.setflags(write=False)
+    return [StateTensor(k, c) for c in stack]
 
 
 def diagonal_kernel_basis(k: int) -> list[StateTensor]:

@@ -22,13 +22,27 @@ ZERO_NORM_TOL = 1e-14
 ORTHONORMAL_TOL = 1e-10
 
 
+def frozen_complex(values) -> np.ndarray:
+    """Read-only complex array of the values.
+
+    A read-only complex ndarray is kept as given, so many states can be
+    views into one block; anything else is copied first.
+    """
+    if isinstance(values, np.ndarray) and values.dtype == complex and not values.flags.writeable:
+        return values
+    m = np.array(values, dtype=complex)
+    m.setflags(write=False)
+    return m
+
+
 @dataclass(frozen=True)
 class StateTensor:
     """Coefficient matrix of a vector in the two-fold tensor product.
 
     Entry (i, j) multiplies the product basis element e_i (x) e_j of the
     two (k+1)-dimensional factors. Coefficients are stored as a read-only
-    complex array; instances are safe to share between threads.
+    complex array (see frozen_complex); instances are safe to share
+    between threads.
     """
 
     k: int
@@ -37,12 +51,11 @@ class StateTensor:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("level k must be a positive integer")
-        c = np.array(self.coeffs, dtype=complex)
+        c = frozen_complex(self.coeffs)
         if c.shape != (self.k + 1, self.k + 1):
             raise ValueError(
                 f"coefficient matrix must be {(self.k + 1, self.k + 1)}, got {c.shape}"
             )
-        c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
     @property

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, NotOrthonormal
 from .sections import _sqrt_binom_products, monomial_integral
-from .states import ORTHONORMAL_TOL, StateTensor, orthonormality_defect
+from .states import ORTHONORMAL_TOL, StateTensor, frozen_complex, orthonormality_defect
 
 
 @dataclass(frozen=True)
@@ -70,18 +70,14 @@ class SymbolExpr:
 class ToeplitzMatrix:
     """Operator matrix in the product basis e_a (x) e_b, lexicographic in (a, b).
 
-    Entries are stored as a read-only complex array. A read-only complex
-    array is kept as given; anything else is copied first.
+    Entries are stored as a read-only complex array (see frozen_complex).
     """
 
     k: int
     entries: np.ndarray
 
     def __post_init__(self):
-        m = self.entries
-        if not (isinstance(m, np.ndarray) and m.dtype == complex and not m.flags.writeable):
-            m = np.array(m, dtype=complex)
-            m.setflags(write=False)
+        m = frozen_complex(self.entries)
         dim = (self.k + 1) ** 2
         if m.shape != (dim, dim):
             raise ValueError(f"entries must be {dim}x{dim}, got {m.shape}")

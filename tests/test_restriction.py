@@ -152,6 +152,15 @@ def test_kernel_basis_zero_mode_block_is_diagonal_kernel_basis(k):
         assert np.array_equal(a.coeffs, b.coeffs)
 
 
+@pytest.mark.parametrize("k", [1, 4, 30])
+def test_kernel_basis_states_are_views_of_one_read_only_block(k):
+    basis = kernel_basis(k)
+    block = basis[0].coeffs.base
+    assert block.shape == (k * k, k + 1, k + 1) and not block.flags.writeable
+    assert all(v.coeffs.base is block for v in basis)
+    assert np.array_equal(np.stack([v.coeffs for v in basis]), block)
+
+
 def test_kernel_basis_rejects_level_zero():
     with pytest.raises(ValueError):
         kernel_basis(0)

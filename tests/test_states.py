@@ -227,6 +227,17 @@ def test_coefficients_are_immutable():
         state.coeffs[0, 0] = 3.0
 
 
+def test_state_freezes_a_copy_of_writeable_coeffs():
+    given = np.eye(3, dtype=complex)
+    state = StateTensor(2, given)
+    given[0, 0] = 5.0
+    assert state.coeffs[0, 0] == 1.0
+    assert not state.coeffs.flags.writeable
+    frozen = np.eye(3, dtype=complex)
+    frozen.setflags(write=False)
+    assert StateTensor(2, frozen).coeffs is frozen
+
+
 def test_json_roundtrip():
     rng = np.random.default_rng(18)
     state = random_unit_state(2, rng)
