@@ -21,7 +21,7 @@ class DomainError(HoloentError):
     """Arguments outside the domain of a closed-form expression."""
 
 
-class NotOrthonormal(HoloentError):
+class NotOrthonormal(HoloentError, ValueError):
     """A supplied basis fails the orthonormality check."""
 
 

@@ -1,25 +1,24 @@
 """Entropy maximization over the unit sphere of a subspace of states.
 
 Projected gradient ascent with an Armijo backtracking line search and
-renormalization as the spherical retraction. Restarts are independently
+renormalization as the spherical retraction. The ascent runs in complex
+coordinates c over one (m, (k+1)^2) matrix of flattened orthonormal basis
+states; under the real inner product Re<x, y> that is the Euclidean
+geometry of the 2m real and imaginary parts. Restarts are independently
 seeded, so results are reproducible and restart loops may be distributed
 without changing the reported optimum.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateSpectrum, NotNormalized
-from .states import (
-    ORTHONORMAL_TOL,
-    StateTensor,
-    entropy_from_squared_schmidt,
-    orthonormality_defect,
-)
+from .states import StateTensor, entropy_from_squared_schmidt, orthonormal_rows
 
 COORD_NORM_TOL = 1e-8
 DEGENERACY_GAP = 1e-10
@@ -36,7 +35,11 @@ STEP_MAX = 1e4
 
 @dataclass(frozen=True)
 class OptProblem:
-    """Maximization setup over the unit sphere of an orthonormal subspace."""
+    """Maximization setup over the unit sphere of an orthonormal subspace.
+
+    ``basis`` is derived, not set: the read-only matrix whose rows are the
+    flattened subspace states (see states.orthonormal_rows).
+    """
 
     subspace: tuple
     max_iters: int = 1000
@@ -44,16 +47,15 @@ class OptProblem:
     tol_grad: float = 1e-8
     restarts: int = 16
     seed: int = 0
+    basis: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "subspace", tuple(self.subspace))
         if not self.subspace:
             raise ValueError("subspace must be nonempty")
-        vectors = np.column_stack([v.coeffs.reshape(-1) for v in self.subspace])
-        defect = orthonormality_defect(vectors)
-        if defect > ORTHONORMAL_TOL:
-            raise ValueError(f"subspace is not orthonormal (defect {defect:.3e})")
-        if self.max_iters < 1 or self.step0 <= 0 or self.tol_grad <= 0 or self.restarts < 1:
+        object.__setattr__(self, "basis", orthonormal_rows(self.subspace))
+        positive = all(math.isfinite(x) and x > 0 for x in (self.step0, self.tol_grad))
+        if self.max_iters < 1 or self.restarts < 1 or not positive:
             raise ValueError("invalid optimizer settings")
 
 
@@ -70,30 +72,20 @@ class OptResult:
     restart_values: tuple
 
 
-def _combine(basis_mats: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    return np.tensordot(coords, basis_mats, axes=1)
-
-
-def _realified_basis(subspace) -> np.ndarray:
-    """Stack (B_1..B_m, iB_1..iB_m): real coordinates over it span the complex subspace."""
-    mats = np.stack([v.coeffs for v in subspace])
-    return np.concatenate([mats, 1j * mats])
-
-
-def _value_and_gradient(basis_mats, coords, warn_degenerate=False):
-    """Entropy of the embedded state and its tangential gradient at coords."""
-    m = _combine(basis_mats, coords)
-    u, sig, vh = np.linalg.svd(m)
+def _value_and_gradient(basis, coords, warn_degenerate=False):
+    """Entropy of the state coords @ basis and its tangential gradient at coords."""
+    n = math.isqrt(basis.shape[1])
+    u, sig, vh = np.linalg.svd((coords @ basis).reshape(n, n))
     if warn_degenerate and sig.size > 1 and np.min(np.abs(np.diff(sig))) < DEGENERACY_GAP:
         warnings.warn("Schmidt values collide; gradient is a subgradient choice",
                       DegenerateSpectrum, stacklevel=3)
     value = float(entropy_from_squared_schmidt(sig**2))
-    # d sigma_j / d coords_i = Re(u_j^H B_i v_j); chain through -2s(ln s^2 + 1)
+    # dS = sum_j w_j d sigma_j = Re<G, dM> with G = U diag(w) V^H and
+    # w_j = -2 sigma_j (ln sigma_j^2 + 1); dM = sum_i dc_i B_i, so the
+    # gradient under Re<x, y> has entries <B_i, G> = sum conj(B_i) G
     weights = -2.0 * sig * (np.log(np.maximum(sig**2, GRAD_LOG_FLOOR)) + 1.0)
-    v = vh.conj().T
-    dsig = np.einsum("aj,iab,bj->ij", u.conj(), basis_mats, v).real
-    grad = dsig @ weights
-    grad = grad - (grad @ coords) * coords
+    grad = basis.conj() @ ((u * weights) @ vh).reshape(-1)
+    grad = grad - np.vdot(coords, grad).real * coords
     return value, grad
 
 
@@ -102,34 +94,35 @@ def entropy_and_gradient(subspace, coords):
 
     A coordinate vector of length m combines the m basis states with real
     weights; one of length 2m is read as real and imaginary weight blocks
-    and spans the complex subspace. The gradient is tangential to the
-    coordinate sphere. Colliding Schmidt values trigger a
-    DegenerateSpectrum warning (the returned direction is then one valid
-    subgradient choice).
+    and spans the complex subspace. The gradient is real, of the same
+    length, and tangential to the coordinate sphere. Colliding Schmidt
+    values trigger a DegenerateSpectrum warning (the returned direction is
+    then one valid subgradient choice).
 
     Raises
     ------
     NotNormalized
         If the coordinate vector is not unit within 1e-8.
+    NotOrthonormal
+        If the subspace states are not orthonormal.
     """
     coords = np.asarray(coords, dtype=float)
     nrm = np.linalg.norm(coords)
     if abs(nrm - 1.0) > COORD_NORM_TOL:
         raise NotNormalized(f"coordinate norm is {nrm!r}")
     m = len(subspace)
-    if coords.shape == (m,):
-        basis_mats = np.stack([v.coeffs for v in subspace])
-    elif coords.shape == (2 * m,):
-        basis_mats = _realified_basis(subspace)
-    else:
+    if coords.shape not in ((m,), (2 * m,)):
         raise ValueError(f"coordinate vector must have length {m} or {2 * m}")
-    return _value_and_gradient(basis_mats, coords, warn_degenerate=True)
+    real_only = coords.shape == (m,)
+    c = coords.astype(complex) if real_only else coords[:m] + 1j * coords[m:]
+    value, grad = _value_and_gradient(orthonormal_rows(subspace), c, warn_degenerate=True)
+    return value, grad.real if real_only else np.concatenate([grad.real, grad.imag])
 
 
-def _ascend(basis_mats, u0, max_iters, step0, tol_grad):
+def _ascend(basis, u0, max_iters, step0, tol_grad):
     """Run one ascent from u0; returns (u, history, grad_norm, iterations, converged)."""
     u = u0
-    f, g = _value_and_gradient(basis_mats, u)
+    f, g = _value_and_gradient(basis, u)
     history = [f]
     iterations = 0
     trial = step0
@@ -142,7 +135,7 @@ def _ascend(basis_mats, u0, max_iters, step0, tol_grad):
         for _ in range(MAX_BACKTRACKS):
             cand = u + step * g
             cand = cand / np.linalg.norm(cand)
-            f_new, g_new = _value_and_gradient(basis_mats, cand)
+            f_new, g_new = _value_and_gradient(basis, cand)
             if f_new >= f + ARMIJO_C * step * gnorm * gnorm:
                 accepted = True
                 break
@@ -154,9 +147,9 @@ def _ascend(basis_mats, u0, max_iters, step0, tol_grad):
         # backtracking above keeps the ascent monotone regardless.
         du = cand - u
         dg = g - g_new
-        curvature = float(du @ dg)
+        curvature = np.vdot(du, dg).real
         if curvature > 0:
-            trial = float(du @ du) / curvature
+            trial = np.vdot(du, du).real / curvature
             trial = min(max(trial, STEP_MIN), STEP_MAX)
         else:
             trial = min(step * STEP_GROWTH, STEP_MAX)
@@ -170,34 +163,35 @@ def _ascend(basis_mats, u0, max_iters, step0, tol_grad):
 def maximize(problem: OptProblem) -> OptResult:
     """Best entropy over the unit sphere of the subspace, over all restarts.
 
-    The ascent runs in realified coordinates (real and imaginary weight
-    blocks over the basis), so the search covers the full complex sphere;
-    phases connect the real sign patterns that would otherwise trap it.
-    Each restart r draws its start from a generator seeded with seed + r;
-    among equal values the lowest restart index wins, so the result is
-    deterministic regardless of execution order. The result is flagged as
-    not converged when no restart reached the gradient tolerance.
+    The ascent runs in complex coordinates over the basis, so the search
+    covers the full complex sphere; phases connect the real sign patterns
+    that would otherwise trap it. Restart r starts from a standard normal
+    draw of 2m reals from a generator seeded with seed + r, normalized and
+    read as real and imaginary coordinate blocks. Among equal values the
+    lowest restart index wins, so the result is deterministic regardless
+    of execution order. The result is flagged as not converged when no
+    restart reached the gradient tolerance.
     """
-    basis_mats = _realified_basis(problem.subspace)
-    m = 2 * len(problem.subspace)
+    basis = problem.basis
+    m = len(basis)
     best = None
     restart_values = []
     any_converged = False
     for r in range(problem.restarts):
         rng = np.random.default_rng(problem.seed + r)
-        u0 = rng.standard_normal(m)
-        u0 /= np.linalg.norm(u0)
+        x = rng.standard_normal(2 * m)
+        x /= np.linalg.norm(x)
         u, history, gnorm, iters, converged = _ascend(
-            basis_mats, u0, problem.max_iters, problem.step0, problem.tol_grad
+            basis, x[:m] + 1j * x[m:], problem.max_iters, problem.step0, problem.tol_grad
         )
         restart_values.append(history[-1])
         any_converged = any_converged or converged
         if best is None or history[-1] > best[0]:
             best = (history[-1], u, gnorm, iters)
     value, u, gnorm, iters = best
-    coeffs = _combine(basis_mats, u)
-    coeffs = coeffs / np.linalg.norm(coeffs)
-    state = StateTensor(problem.subspace[0].k, coeffs)
+    coeffs = u @ basis
+    k = problem.subspace[0].k
+    state = StateTensor(k, (coeffs / np.linalg.norm(coeffs)).reshape(k + 1, k + 1))
     residual = critical_residual(state) if state.is_diagonal() else float("nan")
     return OptResult(
         best_value=value,

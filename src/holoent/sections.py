@@ -24,6 +24,11 @@ from .errors import DomainError, IndexOutOfRange
 # traded for a log-gamma evaluation to avoid huge intermediates.
 EXACT_LEVEL_MAX = 40
 
+# Largest level whose weight table can be built: above it the integer
+# product binom(k,i) binom(k,j) under the square root exceeds the largest
+# float near i = j = k/2.
+WEIGHT_LEVEL_MAX = 516
+
 
 def _check_index(k: int, j: int) -> None:
     if k < 1:
@@ -51,7 +56,17 @@ def _sqrt_binom_products(k: int) -> np.ndarray:
     """Weights w_ij = sqrt(binom(k,i) binom(k,j)), exact where the product is a square.
 
     The table is cached per level and returned read-only.
+
+    Raises
+    ------
+    DomainError
+        If k exceeds 516, where binom(k,i) binom(k,j) overflows a float.
     """
+    if k > WEIGHT_LEVEL_MAX:
+        raise DomainError(
+            f"binom(k,i) binom(k,j) overflows a float at k={k}; "
+            f"the largest supported level is {WEIGHT_LEVEL_MAX}"
+        )
     binoms = [math.comb(k, j) for j in range(k + 1)]
     w = np.empty((k + 1, k + 1))
     for i in range(k + 1):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotNormalized, ZeroState
+from .errors import NotNormalized, NotOrthonormal, ZeroState
 
 # Squared Schmidt values below this are treated as exact zeros when
 # evaluating -sum(p ln p); keeps machine noise out of the entropy.
@@ -129,10 +129,22 @@ def frobenius_norm(state: StateTensor) -> float:
     return float(np.linalg.norm(state.coeffs))
 
 
-def orthonormality_defect(vectors: np.ndarray) -> float:
-    """Largest entry of |V^H V - I| over the columns V of a matrix."""
-    gram = vectors.conj().T @ vectors
-    return float(np.max(np.abs(gram - np.eye(vectors.shape[1]))))
+def orthonormal_rows(states) -> np.ndarray:
+    """Read-only (m, (k+1)^2) complex matrix whose rows are the flattened states.
+
+    Raises
+    ------
+    NotOrthonormal
+        If the Gram matrix of the states deviates from the identity by
+        more than 1e-10.
+    """
+    rows = np.stack([s.coeffs.reshape(-1) for s in states])
+    gram = rows.conj() @ rows.T
+    defect = float(np.max(np.abs(gram - np.eye(len(rows)))))
+    if defect > ORTHONORMAL_TOL:
+        raise NotOrthonormal(f"basis Gram matrix deviates from identity by {defect:.3e}")
+    rows.setflags(write=False)
+    return rows
 
 
 def schmidt(state: StateTensor) -> SchmidtData:

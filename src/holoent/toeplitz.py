@@ -18,9 +18,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, NotOrthonormal
+from .errors import DomainError
 from .sections import _sqrt_binom_products, monomial_integral
-from .states import ORTHONORMAL_TOL, StateTensor, frozen_complex, orthonormality_defect
+from .states import StateTensor, frozen_complex, orthonormal_rows
 
 
 @dataclass(frozen=True)
@@ -211,9 +211,5 @@ def projection_matrix(basis: list[StateTensor], k: int | None = None) -> Toeplit
             raise ValueError("level k required for an empty basis")
         dim = (k + 1) ** 2
         return ToeplitzMatrix(k, np.zeros((dim, dim), dtype=complex))
-    k = basis[0].k
-    vectors = np.column_stack([v.coeffs.reshape(-1) for v in basis])
-    defect = orthonormality_defect(vectors)
-    if defect > ORTHONORMAL_TOL:
-        raise NotOrthonormal(f"basis Gram matrix deviates from identity by {defect:.3e}")
-    return ToeplitzMatrix(k, vectors @ vectors.conj().T)
+    rows = orthonormal_rows(basis)
+    return ToeplitzMatrix(basis[0].k, rows.T @ rows.conj())

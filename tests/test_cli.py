@@ -301,6 +301,13 @@ def test_missing_subcommand_is_usage_error():
     assert excinfo.value.code == 2
 
 
+def test_level_above_weight_range_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "named-vectors", "--k", "517")
+    assert code == 2
+    assert out == ""
+    assert "516" in err
+
+
 NAN_STATE = '{"k": 1, "re": [[NaN, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, Infinity]]}'
 
 

@@ -8,17 +8,20 @@ import pytest
 from holoent import (
     DegenerateSpectrum,
     NotNormalized,
+    NotOrthonormal,
     OptProblem,
     StateTensor,
     bell_vector,
     critical_residual,
     diagonal_kernel_basis,
+    entanglement_entropy,
     entropy_and_gradient,
+    kernel_basis,
     max_entropy_vector,
     maximize,
 )
-from holoent.optimize import _ascend, _realified_basis
-from holoent.states import entropy_from_squared_schmidt
+from holoent.optimize import GRAD_LOG_FLOOR, _ascend
+from holoent.states import entropy_from_squared_schmidt, orthonormal_rows
 
 
 def entropy_of_coords(subspace, coords):
@@ -41,6 +44,24 @@ def finite_difference_gradient(subspace, coords, h=1e-5):
         dn[i] -= h
         grad[i] = (entropy_of_coords(subspace, up) - entropy_of_coords(subspace, dn)) / (2 * h)
     return grad
+
+
+def realified_entropy_and_gradient(subspace, coords):
+    """Reference: real coordinates over the doubled stack (B_1..B_m, iB_1..iB_m).
+
+    Length-m coordinates use the plain stack. Each real coordinate's
+    derivative sum_j w_j Re(u_j^H B_i v_j) is taken with one einsum over
+    all stacked matrices.
+    """
+    mats = np.stack([v.coeffs for v in subspace])
+    if len(coords) == 2 * len(mats):
+        mats = np.concatenate([mats, 1j * mats])
+    u, sig, vh = np.linalg.svd(np.tensordot(coords, mats, axes=1))
+    value = float(entropy_from_squared_schmidt(sig**2))
+    weights = -2.0 * sig * (np.log(np.maximum(sig**2, GRAD_LOG_FLOOR)) + 1.0)
+    dsig = np.einsum("aj,iab,bj->ij", u.conj(), mats, vh.conj().T).real
+    grad = dsig @ weights
+    return value, grad - (grad @ coords) * coords
 
 
 def test_single_ray_value_and_zero_gradient():
@@ -84,6 +105,35 @@ def test_gradient_matches_finite_differences(k):
         fd = finite_difference_gradient(subspace, coords)
         scale = max(1.0, float(np.linalg.norm(fd)))
         assert np.max(np.abs(grad - fd)) <= 1e-6 * scale
+
+
+@pytest.mark.filterwarnings("ignore::holoent.DegenerateSpectrum")
+@pytest.mark.parametrize("build", [diagonal_kernel_basis, kernel_basis])
+@pytest.mark.parametrize("k", list(range(1, 13)))
+def test_gradient_matches_realified_reference(k, build):
+    # a random unitary mix of the real kernel states spans the same
+    # subspace through a complex orthonormal basis
+    rng = np.random.default_rng(300 + k)
+    basis = build(k)
+    m = len(basis)
+    mix, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    stack = np.tensordot(mix, np.stack([v.coeffs for v in basis]), axes=1)
+    subspace = [StateTensor(k, c) for c in stack]
+    for size in (m, 2 * m) * 3:
+        coords = rng.standard_normal(size)
+        coords /= np.linalg.norm(coords)
+        value, grad = entropy_and_gradient(subspace, coords)
+        ref_value, ref_grad = realified_entropy_and_gradient(subspace, coords)
+        assert grad.shape == coords.shape and grad.dtype == float
+        assert abs(value - ref_value) <= 1e-12
+        scale = max(1.0, float(np.linalg.norm(ref_grad)))
+        assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * scale
+
+
+def test_gradient_rejects_non_orthonormal_subspace():
+    skewed = StateTensor(1, bell_vector(1).coeffs * 0.5)
+    with pytest.raises(NotOrthonormal):
+        entropy_and_gradient([skewed], np.array([1.0]))
 
 
 def test_maximize_single_ray():
@@ -137,12 +187,13 @@ def test_maximize_invariant_under_global_phase_of_basis():
 
 def test_ascent_history_is_monotone():
     basis = diagonal_kernel_basis(5)
-    mats = _realified_basis(basis)
+    rows = orthonormal_rows(basis)
+    m = len(basis)
     rng = np.random.default_rng(8)
     for _ in range(5):
-        u0 = rng.standard_normal(2 * len(basis))
+        u0 = rng.standard_normal(2 * m)
         u0 /= np.linalg.norm(u0)
-        _, history, _, _, _ = _ascend(mats, u0, 200, 1.0, 1e-8)
+        _, history, _, _, _ = _ascend(rows, u0[:m] + 1j * u0[m:], 200, 1.0, 1e-8)
         assert all(b >= a for a, b in zip(history, history[1:]))
 
 
@@ -176,6 +227,39 @@ def test_problem_validation():
     skewed = StateTensor(1, bell_vector(1).coeffs * 0.5)
     with pytest.raises(ValueError):
         OptProblem(subspace=(skewed,))
+
+
+@pytest.mark.parametrize("settings", [
+    {"tol_grad": math.nan},
+    {"tol_grad": math.inf},
+    {"tol_grad": 0.0},
+    {"step0": math.nan},
+    {"step0": math.inf},
+    {"step0": -1.0},
+])
+def test_problem_rejects_non_finite_or_non_positive_settings(settings):
+    with pytest.raises(ValueError, match="invalid optimizer settings"):
+        OptProblem(subspace=tuple(diagonal_kernel_basis(2)), **settings)
+
+
+@pytest.mark.parametrize("k", [2, 5])
+def test_restart_r_starts_from_the_documented_draw(k):
+    # a gradient tolerance this loose stops every ascent at its start
+    basis = diagonal_kernel_basis(k)
+    m = len(basis)
+    seed = 40
+    result = maximize(OptProblem(subspace=tuple(basis), tol_grad=1e300, restarts=3, seed=seed))
+    assert result.converged and result.iterations == 0
+    starts = []
+    for r in range(3):
+        x = np.random.default_rng(seed + r).standard_normal(2 * m)
+        x /= np.linalg.norm(x)
+        coeffs = sum((a + 1j * b) * v.coeffs for a, b, v in zip(x[:m], x[m:], basis))
+        starts.append(StateTensor(k, coeffs / np.linalg.norm(coeffs)))
+    values = [entanglement_entropy(state) for state in starts]
+    assert np.max(np.abs(np.array(result.restart_values) - values)) <= 1e-12
+    best = starts[int(np.argmax(result.restart_values))]
+    assert np.max(np.abs(result.best_state.coeffs - best.coeffs)) <= 1e-14
 
 
 def test_critical_residual_at_odd_extremal():

@@ -12,11 +12,12 @@ from holoent import (
     basis_norm_const,
     bell_vector,
     evaluate_section,
+    restrict,
     monomial_integral,
     section_inner_product,
 )
 from holoent.errors import DomainError, IndexOutOfRange
-from holoent.sections import _sqrt_binom_products
+from holoent.sections import WEIGHT_LEVEL_MAX, _sqrt_binom_products
 
 
 def radial_moment_oracle(a, N):
@@ -121,3 +122,16 @@ def test_weight_table_is_cached_and_read_only():
     assert w[1, 1] == 4.0 and w[0, 4] == 1.0
     with pytest.raises(ValueError):
         w[0, 0] = 2.0
+
+
+def test_weight_table_reaches_the_largest_supported_level():
+    k = WEIGHT_LEVEL_MAX
+    w = _sqrt_binom_products(k)
+    assert np.all(np.isfinite(w))
+    assert w[k // 2, k // 2] == float(math.comb(k, k // 2))
+    assert w[0, k] == 1.0
+
+
+def test_weight_table_above_the_largest_level_is_a_domain_error():
+    with pytest.raises(DomainError, match=r"k=517.*516"):
+        restrict(bell_vector(WEIGHT_LEVEL_MAX + 1))

@@ -7,10 +7,12 @@ import pytest
 
 from holoent import (
     NotNormalized,
+    NotOrthonormal,
     StateTensor,
     ZeroState,
     bell_vector,
     entanglement_entropy,
+    kernel_basis,
     frobenius_norm,
     max_entropy_vector,
     near_product_vector,
@@ -18,6 +20,7 @@ from holoent import (
     schmidt,
     schmidt_rank,
 )
+from holoent.states import orthonormal_rows
 
 
 def random_unit_state(k, rng):
@@ -244,3 +247,20 @@ def test_json_roundtrip():
     again = StateTensor.from_dict(state.to_dict())
     assert again.k == state.k
     assert np.array_equal(again.coeffs, state.coeffs)
+
+
+def test_orthonormal_rows_flattens_states_read_only():
+    basis = kernel_basis(3)
+    rows = orthonormal_rows(basis)
+    assert rows.shape == (9, 16) and rows.dtype == complex
+    assert all(np.array_equal(row, v.coeffs.reshape(-1)) for row, v in zip(rows, basis))
+    with pytest.raises(ValueError):
+        rows[0, 0] = 1.0
+
+
+def test_orthonormal_rows_rejects_skewed_basis_as_value_error():
+    skewed = StateTensor(1, bell_vector(1).coeffs * 0.5)
+    with pytest.raises(NotOrthonormal, match="deviates from identity"):
+        orthonormal_rows([skewed])
+    with pytest.raises(ValueError):
+        orthonormal_rows([bell_vector(1), bell_vector(1)])
