@@ -19,10 +19,8 @@ from .errors import (
 )
 from .optimize import OptProblem, OptResult, critical_residual, entropy_and_gradient, maximize
 from .restriction import (
-    ConstraintSystem,
     LambdaRestriction,
     bell_vector,
-    constraint_system,
     diagonal_kernel_basis,
     kernel_basis,
     max_entropy_vector,

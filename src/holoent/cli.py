@@ -382,14 +382,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         result = _COMMANDS[args.command](args)
+        if args.format == "csv":
+            text = render_csv(args.command, result)
+        else:
+            text = render_json(args.command, result)
+        _emit(text, args.out)
     except (HoloentError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"holoent {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.format == "csv":
-        text = render_csv(args.command, result)
-    else:
-        text = render_json(args.command, result)
-    _emit(text, args.out)
     return result.get("exit_code", EXIT_OK)
 
 

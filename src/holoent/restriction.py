@@ -2,9 +2,10 @@
 
 The circle is z = e^{it}, w = e^{-it} in the affine frame, so the basis
 product e_i (x) e_j restricts to a single Fourier mode of frequency
-d = i - j with amplitude (k+1) sqrt(binom(k,i) binom(k,j)). Membership in
-the kernel of the restriction map is therefore one homogeneous linear
-condition per mode, collected here as an explicit constraint matrix. The
+d = i - j with amplitude (k+1) sqrt(binom(k,i) binom(k,j)). The map is
+held as the per-mode weight vectors of sections._mode_weights: mode d
+of the restriction is the weighted sum of the diagonal i - j = d, and
+kernel membership is one homogeneous linear condition per mode. The
 conditions of different modes involve disjoint coefficients, so the
 kernel is built mode by mode: on the diagonal i - j = d it is the
 orthocomplement of that diagonal's weight vector.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .sections import _sqrt_binom_products
+from .sections import _mode_weights
 from .states import StateTensor
 
 
@@ -57,49 +58,17 @@ class LambdaRestriction:
         return float(np.max(np.abs(self.fourier)))
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
-    """Linear system whose null space is the kernel of the restriction map.
-
-    Row d+k, column i*(k+1)+j holds (k+1) sqrt(binom(k,i) binom(k,j)) when
-    i - j = d and zero otherwise; rows have disjoint support, so the rank
-    is always 2k+1.
-    """
-
-    k: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
 def restrict(state: StateTensor) -> LambdaRestriction:
     """Restrict a state to the antidiagonal circle.
 
     Mode d collects (k+1) sum_{i-j=d} C_ij sqrt(binom(k,i) binom(k,j));
     the restricted section is sum_d fourier_d e^{i d t} in the affine frame.
     """
-    k = state.k
-    weighted = state.coeffs * _sqrt_binom_products(k)
-    fourier = np.empty(2 * k + 1, dtype=complex)
-    for d in range(-k, k + 1):
-        # entries with i - j = d sit on the numpy diagonal of offset -d
-        fourier[d + k] = (k + 1) * np.sum(np.diagonal(weighted, offset=-d))
+    k, c = state.k, state.coeffs
+    weights = _mode_weights(k)
+    # entries with i - j = d sit on the numpy diagonal of offset -d
+    fourier = [(k + 1) * (c.diagonal(-d) * weights[d + k]).sum() for d in range(-k, k + 1)]
     return LambdaRestriction(k, fourier)
-
-
-def constraint_system(k: int) -> ConstraintSystem:
-    """Constraint matrix for kernel membership, one row per Fourier mode."""
-    if k < 1:
-        raise ValueError("level k must be >= 1")
-    w = _sqrt_binom_products(k)
-    a = np.zeros((2 * k + 1, (k + 1) ** 2))
-    for i in range(k + 1):
-        for j in range(k + 1):
-            a[i - j + k, i * (k + 1) + j] = (k + 1) * w[i, j]
-    return ConstraintSystem(k, a)
 
 
 def _fix_column_signs(columns: np.ndarray) -> np.ndarray:
@@ -134,12 +103,12 @@ def kernel_basis(k: int) -> list[StateTensor]:
     """
     if k < 1:
         raise ValueError("level k must be >= 1")
-    w = _sqrt_binom_products(k)
+    weights = _mode_weights(k)
     stack = np.zeros((k * k, k + 1, k + 1), dtype=complex)
     start = 0
     for d in range(-k, k + 1):
         rows = np.arange(max(0, d), min(k, k + d) + 1)
-        block = _orthocomplement(w[rows, rows - d]).T
+        block = _orthocomplement(weights[d + k]).T
         stack[start:start + len(block), rows, rows - d] = block
         start += len(block)
     stack.setflags(write=False)
@@ -156,7 +125,7 @@ def diagonal_kernel_basis(k: int) -> list[StateTensor]:
     """
     if k < 1:
         raise ValueError("level k must be >= 1")
-    null = _orthocomplement(np.array([float(math.comb(k, j)) for j in range(k + 1)]))
+    null = _orthocomplement(_mode_weights(k)[k])
     return [StateTensor.from_diagonal(k, null[:, c]) for c in range(null.shape[1])]
 
 

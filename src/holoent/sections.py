@@ -4,10 +4,13 @@ In the affine chart z = z0/z1 the basis is e_j = N_{k,j} z^j with
 N_{k,j} = sqrt((k+1) * binom(k, j)); the Fubini-Study measure is
 normalized to total volume 1, which is exactly the choice that makes
 these e_j orthonormal. Monomial moments of that measure have the closed
-form a! (N-a)! / (N+1)! and are kept as exact rationals. The weight
-table sqrt(binom(k,i) binom(k,j)) of products of two basis
-normalizations is built here once per level and shared by the
-restriction and Toeplitz layers.
+form a! (N-a)! / (N+1)! and are kept as exact rationals. The product
+e_i (x) e_j of two basis sections carries the weight
+sqrt(binom(k,i) binom(k,j)), and only pairs on one diagonal i - j = d
+ever meet: in a Fourier mode of the circle restriction, in one block of
+its kernel, in a shifted diagonal of a Toeplitz factor. The weights are
+therefore kept per mode, one vector for each diagonal, built here once
+per level and shared by the restriction and Toeplitz layers.
 """
 
 from __future__ import annotations
@@ -51,11 +54,20 @@ def basis_norm_const(k: int, j: int) -> float:
     return math.exp(0.5 * log_sq)
 
 
-@functools.lru_cache
-def _sqrt_binom_products(k: int) -> np.ndarray:
-    """Weights w_ij = sqrt(binom(k,i) binom(k,j)), exact where the product is a square.
+def _exact_sqrt(m: int) -> float:
+    """sqrt(m) of a nonnegative integer, exact when m is a perfect square."""
+    r = math.isqrt(m)
+    return float(r) if r * r == m else math.sqrt(m)
 
-    The table is cached per level and returned read-only.
+
+@functools.lru_cache
+def _mode_weights(k: int) -> tuple[np.ndarray, ...]:
+    """Per-mode weights: entry d+k holds sqrt(binom(k,i) binom(k,i-d)) for d = -k..k.
+
+    Entry d+k runs over the rows i = max(0, d)..min(k, k+d) of the
+    diagonal i - j = d, which is np.diagonal(c, -d) of a (k+1)x(k+1)
+    matrix c. Modes d and -d have the same weights, so they share one
+    vector. The table is cached per level; its vectors are read-only.
 
     Raises
     ------
@@ -68,14 +80,12 @@ def _sqrt_binom_products(k: int) -> np.ndarray:
             f"the largest supported level is {WEIGHT_LEVEL_MAX}"
         )
     binoms = [math.comb(k, j) for j in range(k + 1)]
-    w = np.empty((k + 1, k + 1))
-    for i in range(k + 1):
-        for j in range(k + 1):
-            m = binoms[i] * binoms[j]
-            r = math.isqrt(m)
-            w[i, j] = float(r) if r * r == m else math.sqrt(m)
-    w.setflags(write=False)
-    return w
+    half = []
+    for d in range(k + 1):
+        w = np.array([_exact_sqrt(binoms[i] * binoms[i - d]) for i in range(d, k + 1)])
+        w.setflags(write=False)
+        half.append(w)
+    return tuple(half[:0:-1] + half)
 
 
 def monomial_integral(a: int, N: int) -> Fraction:

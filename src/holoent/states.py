@@ -91,12 +91,21 @@ class StateTensor:
 
     @classmethod
     def from_dict(cls, record: dict) -> "StateTensor":
-        """Inverse of to_dict; raises ValueError on non-finite coefficients."""
+        """Inverse of to_dict.
+
+        Raises ValueError unless the record is a dict whose "k" is an
+        integer (not a bool) and whose coefficients are finite.
+        """
+        if not isinstance(record, dict):
+            raise ValueError(f"state record must be a JSON object, got {type(record).__name__}")
+        k = record["k"]
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise ValueError(f"state level k must be an integer, got {k!r}")
         re = np.asarray(record["re"], dtype=float)
         im = np.asarray(record["im"], dtype=float)
         if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
             raise ValueError("state coefficients must be finite")
-        return cls(int(record["k"]), re + 1j * im)
+        return cls(k, re + 1j * im)
 
 
 @dataclass(frozen=True)

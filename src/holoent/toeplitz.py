@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
-from .sections import _sqrt_binom_products, monomial_integral
+from .sections import _mode_weights, monomial_integral
 from .states import StateTensor, frozen_complex, orthonormal_rows
 
 
@@ -138,10 +138,11 @@ def _factor_diagonal(k: int, p: int, q: int, nu: int):
     """One-factor compression of z^p zbar^q / (1+|z|^2)^nu at level k.
 
     The factor maps e_a to a multiple of e_c with c = a + p - q, so its
-    matrix is a single shifted diagonal. Requires |p - q| <= k, so that
-    the diagonal is nonempty. Returns the source indices a, the targets
-    c (both in [0, k]) and the entries
-    (k+1) sqrt(binom(k,a) binom(k,c)) I(a+p, k+nu).
+    matrix is a single shifted diagonal, the pairs (a, c) of mode
+    a - c = q - p. Requires |p - q| <= k, so that the diagonal is
+    nonempty. Returns the source indices a, the targets c (both in
+    [0, k]) and the entries (k+1) sqrt(binom(k,a) binom(k,c)) I(a+p, k+nu),
+    whose weights are the mode q - p vector of sections._mode_weights.
 
     Raises
     ------
@@ -155,7 +156,7 @@ def _factor_diagonal(k: int, p: int, q: int, nu: int):
             f"term needs moment ({a[-1] + p}, {k + nu}); symbol decays too slowly for k={k}"
         )
     moments = [float(monomial_integral(int(i) + p, k + nu)) for i in a]
-    return a, c, (k + 1) * _sqrt_binom_products(k)[a, c] * np.array(moments)
+    return a, c, (k + 1) * _mode_weights(k)[q - p + k] * np.array(moments)
 
 
 def toeplitz_matrix(symbol: SymbolExpr, k: int) -> ToeplitzMatrix:

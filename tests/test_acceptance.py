@@ -7,11 +7,11 @@ import math
 import time
 
 import numpy as np
+import scipy.sparse
 
 from holoent import (
     StateTensor,
     bell_vector,
-    constraint_system,
     diagonal_kernel_basis,
     entanglement_entropy,
     entropy_and_gradient,
@@ -197,12 +197,25 @@ def test_criterion_7_property_suite():
                 restrict(StateTensor.basis_element(k, j, j)).fourier, scaled
             )
 
-    # kernel dimension k^2 via the rank of the constraint system
+    # kernel dimension k^2: e_m (x) e_{m-d}, m = max(0, d), restricts to
+    # mode d alone, so the restriction has rank 2k+1 and its kernel
+    # dimension (k+1)^2 - (2k+1) = k^2; kernel_basis attains it with k^2
+    # orthonormal states of relative residual <= 1e-12
     dim_ok = True
     for k in range(1, 31):
-        singulars = np.linalg.svd(constraint_system(k).matrix, compute_uv=False)
-        rank = int(np.sum(singulars > 1e-10 * singulars[0]))
-        dim_ok = dim_ok and ((k + 1) ** 2 - rank == k * k)
+        for d in range(-k, k + 1):
+            m = max(0, d)
+            modes = restrict(StateTensor.basis_element(k, m, m - d)).fourier
+            dim_ok = dim_ok and modes[d + k] != 0 and np.count_nonzero(modes) == 1
+        stack = np.stack([v.coeffs for v in kernel_basis(k)])
+        vectors = scipy.sparse.csr_array(stack.reshape(len(stack), -1))
+        gram = (vectors.conj() @ vectors.T).toarray()
+        gram_defect = np.max(np.abs(gram - np.eye(len(stack))))
+        binoms = np.array([math.comb(k, j) for j in range(k + 1)], dtype=float)
+        weighted = stack * np.sqrt(np.outer(binoms, binoms))
+        modes = [np.trace(weighted, offset=-d, axis1=1, axis2=2) for d in range(-k, k + 1)]
+        residual = np.max(np.abs(modes)) / math.sqrt(math.comb(2 * k, k))
+        dim_ok = dim_ok and len(stack) == k * k and gram_defect <= 1e-12 and residual <= 1e-12
 
     # analytic gradient against central differences
     grad_ok = True

@@ -295,6 +295,31 @@ def test_output_file_writing(capsys, tmp_path):
     assert len(rows) == 2
 
 
+def test_output_path_that_cannot_be_opened_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "series.csv"
+    code, out, err = run_cli(capsys, "bk-series", "--k-max", "2", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("holoent bk-series: ") and err.count("\n") == 1
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("text", [
+    "[1]",
+    '"x"',
+    '{"k": null, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}',
+    '{"k": 1.7, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}',
+    '{"k": 1.0, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}',
+    '{"k": true, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}',
+])
+def test_malformed_state_record_is_usage_error(capsys, monkeypatch, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run_cli(capsys, "entropy", "--state", "-")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("holoent entropy: ")
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main([])

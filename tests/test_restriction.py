@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
 
 from holoent import (
     StateTensor,
     bell_vector,
-    constraint_system,
     diagonal_kernel_basis,
     entanglement_entropy,
     evaluate_section,
@@ -61,8 +62,21 @@ def test_restriction_identity_exact(k):
         assert np.array_equal(restrict(StateTensor.basis_element(k, j, j)).fourier, scaled)
 
 
+def _reference_restriction_matrix(k):
+    """Dense restriction map from math.comb weights: row d+k, column i*(k+1)+j.
+
+    Entry (k+1) sqrt(binom(k,i) binom(k,j)) where i - j = d, zero
+    elsewhere; rows have disjoint support.
+    """
+    a = np.zeros((2 * k + 1, (k + 1) ** 2))
+    for i in range(k + 1):
+        for j in range(k + 1):
+            a[i - j + k, i * (k + 1) + j] = (k + 1) * math.sqrt(math.comb(k, i) * math.comb(k, j))
+    return a
+
+
 def test_constraint_system_level_one():
-    system = constraint_system(1)
+    # column i*2+j is the restriction of e_i (x) e_j
     expected = np.array(
         [
             [0.0, 2.0, 0.0, 0.0],
@@ -70,14 +84,17 @@ def test_constraint_system_level_one():
             [0.0, 0.0, 2.0, 0.0],
         ]
     )
-    assert np.array_equal(system.matrix, expected)
-    # the zero-mode row forces the two diagonal coefficients to cancel
-    diag_row = system.matrix[1]
-    assert diag_row[0] == diag_row[3] == 2.0
+    for i in range(2):
+        for j in range(2):
+            modes = restrict(StateTensor.basis_element(1, i, j)).fourier
+            assert np.array_equal(modes, expected[:, i * 2 + j])
+    # the zero mode forces the two diagonal coefficients to cancel
+    assert restrict(bell_vector(1)).max_abs() == 0.0
 
 
 def test_constraint_zero_mode_binomials_k2():
-    row = constraint_system(2).matrix[2]
+    row = np.array([restrict(StateTensor.basis_element(2, i, j)).mode(0)
+                    for i in range(3) for j in range(3)])
     support = [row[0], row[4], row[8]]
     assert np.allclose(np.array(support) / support[0], [1.0, 2.0, 1.0], atol=1e-14)
     assert np.count_nonzero(row) == 3
@@ -85,17 +102,31 @@ def test_constraint_zero_mode_binomials_k2():
 
 @pytest.mark.parametrize("k", list(range(1, 31)))
 def test_constraint_rank_and_kernel_dimension(k):
-    matrix = constraint_system(k).matrix
-    singulars = np.linalg.svd(matrix, compute_uv=False)
-    rank = int(np.sum(singulars > 1e-10 * singulars[0]))
-    assert rank == 2 * k + 1
-    assert (k + 1) ** 2 - rank == k * k
+    # e_m (x) e_{m-d} with m = max(0, d) restricts to a nonzero value in
+    # mode d alone, so the restriction maps onto all 2k+1 modes: its rank
+    # is 2k+1 and its kernel has dimension exactly (k+1)^2 - (2k+1) = k^2
+    for d in range(-k, k + 1):
+        m = max(0, d)
+        modes = restrict(StateTensor.basis_element(k, m, m - d)).fourier
+        assert modes[d + k] != 0 and np.count_nonzero(modes) == 1
+    # kernel_basis attains it: k^2 orthonormal states whose residual under
+    # the reference map A is <= 1e-12 relative to ||A||_2 = (k+1) sqrt(C(2k,k)),
+    # the largest row norm of A
+    basis = kernel_basis(k)
+    vectors = np.column_stack([v.coeffs.reshape(-1) for v in basis])
+    assert vectors.shape[1] == k * k
+    # each state fills at most k+1 entries, so a sparse Gram matrix is cheap
+    sparse = scipy.sparse.csr_array(vectors.T)
+    gram = (sparse.conj() @ sparse.T).toarray()
+    assert np.max(np.abs(gram - np.eye(k * k))) <= 1e-12
+    scale = (k + 1) * math.sqrt(math.comb(2 * k, k))
+    assert np.max(np.abs(_reference_restriction_matrix(k) @ vectors)) / scale <= 1e-12
 
 
 def test_restrict_agrees_with_constraint_matrix():
     rng = np.random.default_rng(22)
     for k in (1, 3, 5):
-        a = constraint_system(k).matrix
+        a = _reference_restriction_matrix(k)
         c = rng.standard_normal((k + 1, k + 1)) + 1j * rng.standard_normal((k + 1, k + 1))
         state = StateTensor(k, c)
         flat = state.coeffs.reshape(-1)
@@ -186,13 +217,44 @@ def test_kernel_basis_deterministic_and_sign_fixed():
         pivot = np.argmax(np.abs(flat))
         assert flat[pivot].real > 0
 
+
+def _reference_kernel_block(k, d):
+    """Kernel block of mode d: null_space of the diagonal's weights, signs fixed."""
+    rows = range(max(0, d), min(k, k + d) + 1)
+    weights = np.array([math.sqrt(math.comb(k, i) * math.comb(k, i - d)) for i in rows])
+    null = scipy.linalg.null_space(weights[None, :])
+    for c in range(null.shape[1]):
+        if null[np.argmax(np.abs(null[:, c])), c] < 0:
+            null[:, c] = -null[:, c]
+    return null
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8, 20])
+def test_kernel_basis_bits_match_reference_recipe(k):
+    # the kernel CLI bytes rest on these bits
+    expected = []
+    for d in range(-k, k + 1):
+        rows = np.arange(max(0, d), min(k, k + d) + 1)
+        for column in _reference_kernel_block(k, d).T:
+            c = np.zeros((k + 1, k + 1), dtype=complex)
+            c[rows, rows - d] = column
+            expected.append(c)
+    basis = kernel_basis(k)
+    assert len(basis) == len(expected) == k * k
+    assert all(np.array_equal(v.coeffs, c) for v, c in zip(basis, expected))
+    diagonal = diagonal_kernel_basis(k)
+    block = _reference_kernel_block(k, 0).T
+    assert len(diagonal) == len(block) == k
+    assert all(np.array_equal(v.coeffs, np.diag(a).astype(complex)) for v, a in zip(diagonal, block))
+
+
 def test_modewise_elimination_crosscheck():
     # within one Fourier mode, weighted differences of two basis products
     # lie in the kernel; counting them per mode recovers k^2. The two-term
     # cancellation is exact in plain float arithmetic; the matrix product
     # may fuse operations, so it gets a tight tolerance instead.
     for k in (2, 3, 5, 8):
-        a = constraint_system(k).matrix
+        a = _reference_restriction_matrix(k)
         count = 0
         for d in range(-k, k + 1):
             pairs = [(i, i - d) for i in range(k + 1) if 0 <= i - d <= k]

@@ -17,7 +17,7 @@ from holoent import (
     section_inner_product,
 )
 from holoent.errors import DomainError, IndexOutOfRange
-from holoent.sections import WEIGHT_LEVEL_MAX, _sqrt_binom_products
+from holoent.sections import WEIGHT_LEVEL_MAX, _mode_weights
 
 
 def radial_moment_oracle(a, N):
@@ -117,21 +117,30 @@ def test_evaluate_section_zero_state():
 
 
 def test_weight_table_is_cached_and_read_only():
-    w = _sqrt_binom_products(4)
-    assert _sqrt_binom_products(4) is w
-    assert w[1, 1] == 4.0 and w[0, 4] == 1.0
-    with pytest.raises(ValueError):
-        w[0, 0] = 2.0
+    table = _mode_weights(4)
+    assert _mode_weights(4) is table
+    assert isinstance(table, tuple) and len(table) == 9
+    # entry d+k holds sqrt(binom(4,i) binom(4,i-d)), i = max(0,d)..min(4,4+d)
+    assert table[4].tolist() == [1.0, 4.0, 6.0, 4.0, 1.0]
+    assert table[0].tolist() == table[8].tolist() == [1.0]
+    assert table[5].tolist() == [2.0, math.sqrt(24), math.sqrt(24), 2.0]
+    for w in table:
+        with pytest.raises(ValueError):
+            w[0] = 2.0
 
 
 def test_weight_table_reaches_the_largest_supported_level():
     k = WEIGHT_LEVEL_MAX
-    w = _sqrt_binom_products(k)
-    assert np.all(np.isfinite(w))
-    assert w[k // 2, k // 2] == float(math.comb(k, k // 2))
-    assert w[0, k] == 1.0
+    table = _mode_weights(k)
+    assert len(table) == 2 * k + 1
+    assert all(len(w) == k + 1 - abs(d) for d, w in zip(range(-k, k + 1), table))
+    assert all(np.all(np.isfinite(w)) for w in table)
+    assert table[k][k // 2] == float(math.comb(k, k // 2))
+    assert table[0].tolist() == table[2 * k].tolist() == [1.0]
 
 
 def test_weight_table_above_the_largest_level_is_a_domain_error():
+    with pytest.raises(DomainError, match=r"k=517.*516"):
+        _mode_weights(WEIGHT_LEVEL_MAX + 1)
     with pytest.raises(DomainError, match=r"k=517.*516"):
         restrict(bell_vector(WEIGHT_LEVEL_MAX + 1))
