@@ -35,9 +35,9 @@ from .errors import HoloentError
 from .states import (
     StateTensor,
     entanglement_entropy,
-    frobenius_norm,
     schmidt,
     schmidt_rank,
+    unit_norm,
 )
 
 SEED_ENV_VAR = "HOLOENT_SEED"
@@ -188,13 +188,15 @@ def cmd_entropy(args: argparse.Namespace) -> dict:
     if args.restriction:
         modes = [dict(zip(("d", "re", "im"), row)) for row in restriction.restrict(state).rows()]
         return {"params": params, **_table(modes), "data": {"k": state.k, "restriction": modes}}
+    norm = unit_norm(state)
+    decomposition = schmidt(state)
     row = {
         "k": state.k,
-        "norm": frobenius_norm(state),
-        "entropy": entanglement_entropy(state),
-        "schmidt_rank": schmidt_rank(state),
+        "norm": norm,
+        "entropy": decomposition.entropy(),
+        "schmidt_rank": decomposition.rank(),
     }
-    data = {**row, "schmidt_coefficients": schmidt(state).alphas}
+    data = {**row, "schmidt_coefficients": decomposition.alphas}
     return {"params": params, **_table([row]), "data": data}
 
 
@@ -367,7 +369,7 @@ def render_json(command: str, result: dict) -> str:
         "params": result["params"],
         "data": result["data"],
     }
-    return json.dumps(payload, indent=2, default=_to_json) + "\n"
+    return json.dumps(payload, indent=2, default=_to_json, allow_nan=False) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -93,19 +93,31 @@ class StateTensor:
     def from_dict(cls, record: dict) -> "StateTensor":
         """Inverse of to_dict.
 
-        Raises ValueError unless the record is a dict whose "k" is an
-        integer (not a bool) and whose coefficients are finite.
+        Raises ValueError, naming the field at fault, unless the record is
+        a dict with fields "k", "re" and "im", its "k" is an integer (not
+        a bool) and its coefficients are finite matrices of numbers.
         """
         if not isinstance(record, dict):
             raise ValueError(f"state record must be a JSON object, got {type(record).__name__}")
+        missing = [field for field in ("k", "re", "im") if field not in record]
+        if missing:
+            raise ValueError(f"state record is missing field {missing[0]!r}")
         k = record["k"]
         if not isinstance(k, int) or isinstance(k, bool):
             raise ValueError(f"state level k must be an integer, got {k!r}")
-        re = np.asarray(record["re"], dtype=float)
-        im = np.asarray(record["im"], dtype=float)
+        re = _coefficient_field(record, "re")
+        im = _coefficient_field(record, "im")
         if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
             raise ValueError("state coefficients must be finite")
         return cls(k, re + 1j * im)
+
+
+def _coefficient_field(record: dict, field: str) -> np.ndarray:
+    """Float array of a state record's coefficient field, or ValueError naming it."""
+    try:
+        return np.asarray(record[field], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"state field {field!r} must be a matrix of numbers ({exc})") from None
 
 
 @dataclass(frozen=True)
@@ -118,6 +130,14 @@ class SchmidtData:
         a = np.array(self.alphas, dtype=float)
         a.setflags(write=False)
         object.__setattr__(self, "alphas", a)
+
+    def entropy(self) -> float:
+        """-sum a^2 ln(a^2) over the coefficients, squares below 1e-14 dropped."""
+        return float(entropy_from_squared_schmidt(self.alphas**2))
+
+    def rank(self, tol: float = 1e-8) -> int:
+        """Number of coefficients above tol times the largest one."""
+        return int(np.count_nonzero(self.alphas > tol * self.alphas[0]))
 
 
 @dataclass(frozen=True)
@@ -136,6 +156,20 @@ class ReducedDensity:
 def frobenius_norm(state: StateTensor) -> float:
     """Norm of the state, i.e. the Frobenius norm of its coefficient matrix."""
     return float(np.linalg.norm(state.coeffs))
+
+
+def unit_norm(state: StateTensor) -> float:
+    """Norm of a state that must be a unit state.
+
+    Raises
+    ------
+    NotNormalized
+        If the norm deviates from 1 by more than 1e-10.
+    """
+    nrm = frobenius_norm(state)
+    if abs(nrm - 1.0) > NORM_TOL:
+        raise NotNormalized(f"state norm is {nrm!r}; normalize before computing entropy")
+    return nrm
 
 
 def orthonormal_rows(states) -> np.ndarray:
@@ -210,11 +244,8 @@ def entanglement_entropy(state: StateTensor) -> float:
     NotNormalized
         If the norm of the state deviates from 1 by more than 1e-10.
     """
-    nrm = frobenius_norm(state)
-    if abs(nrm - 1.0) > NORM_TOL:
-        raise NotNormalized(f"state norm is {nrm!r}; normalize before computing entropy")
-    alphas = schmidt(state).alphas
-    return float(entropy_from_squared_schmidt(alphas**2))
+    unit_norm(state)
+    return schmidt(state).entropy()
 
 
 def schmidt_rank(state: StateTensor, tol: float = 1e-8) -> int:
@@ -227,5 +258,4 @@ def schmidt_rank(state: StateTensor, tol: float = 1e-8) -> int:
     ZeroState
         If the state has norm below 1e-14.
     """
-    alphas = schmidt(state).alphas
-    return int(np.count_nonzero(alphas > tol * alphas[0]))
+    return schmidt(state).rank(tol)

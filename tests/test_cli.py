@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from holoent import bell_vector, near_product_entropy, page_mean
+from holoent import cli
 from holoent.cli import main, render_json
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -311,6 +312,12 @@ def test_output_path_that_cannot_be_opened_is_usage_error(capsys, tmp_path):
     '{"k": 1.7, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}',
     '{"k": 1.0, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}',
     '{"k": true, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}',
+    '{"k": 1, "re": {"a": 1}, "im": [[0, 0], [0, 0]]}',
+    '{"k": 1, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0, 0], [0]]}',
+    '{"k": 1, "re": [[1.0, "x"], [0.0, 0.0]], "im": [[0, 0], [0, 0]]}',
+    '{"re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0, 0], [0, 0]]}',
+    '{"k": 1, "im": [[0, 0], [0, 0]]}',
+    '{"k": 1, "re": [[1.0, 0.0], [0.0, 0.0]]}',
 ])
 def test_malformed_state_record_is_usage_error(capsys, monkeypatch, text):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
@@ -318,6 +325,64 @@ def test_malformed_state_record_is_usage_error(capsys, monkeypatch, text):
     assert code == 2
     assert out == ""
     assert err.startswith("holoent entropy: ")
+
+
+@pytest.mark.parametrize("text, field", [
+    ('{"k": 1, "re": {"a": 1}, "im": [[0, 0], [0, 0]]}', "'re'"),
+    ('{"k": 1, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0, 0], [0]]}', "'im'"),
+    ('{"re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0, 0], [0, 0]]}', "'k'"),
+    ('{"k": 1, "re": [[1.0, 0.0], [0.0, 0.0]]}', "'im'"),
+])
+def test_malformed_state_record_names_the_field(capsys, monkeypatch, text, field):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, _, err = run_cli(capsys, "entropy", "--state", "-")
+    assert code == 2
+    assert field in err and err.count("\n") == 1
+
+
+def test_entropy_command_takes_one_svd(capsys, monkeypatch):
+    svd = np.linalg.svd
+    calls = []
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    record = json.loads((GOLDEN / "state_k2.json").read_text())
+    c = np.array(record["re"]) + 1j * np.array(record["im"])
+    c /= np.linalg.norm(c)
+    state = json.dumps({"k": 2, "re": c.real.tolist(), "im": c.imag.tolist()})
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for fmt in ("csv", "json"):
+        calls.clear()
+        monkeypatch.setattr("sys.stdin", io.StringIO(state))
+        code, _, _ = run_cli(capsys, "entropy", "--state", "-", "--format", fmt)
+        assert code == 0
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("coeffs", [[[0.6, 0, 0], [0, 0, 0], [0, 0, 0.6]], [[0, 0, 0]] * 3])
+def test_entropy_command_rejects_non_unit_states(capsys, monkeypatch, fmt, coeffs):
+    state = json.dumps({"k": 2, "re": coeffs, "im": [[0, 0, 0]] * 3})
+    monkeypatch.setattr("sys.stdin", io.StringIO(state))
+    code, out, err = run_cli(capsys, "entropy", "--state", "-", "--format", fmt)
+    assert code == 2 and out == ""
+    assert "normalize before computing entropy" in err
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["data", "params"])
+def test_non_finite_json_output_is_usage_error(capsys, monkeypatch, value, where):
+    record = {"params": {"k": 2}, "columns": ["k", "value"], "rows": [[2, 0.5]],
+              "data": {"k": 2, "value": 0.5}}
+    record[where]["value"] = value
+    monkeypatch.setitem(cli._COMMANDS, "sphere-average", lambda args: record)
+    code, out, err = run_cli(capsys, "sphere-average", "--k", "2", "--n", "100",
+                             "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("holoent sphere-average: ") and err.count("\n") == 1
 
 
 def test_missing_subcommand_is_usage_error():

@@ -1,6 +1,9 @@
 """Uniform state sampling, the exact mean-entropy oracle and tail fitting."""
 
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,7 +19,9 @@ from holoent import (
     page_mean,
     sample_uniform_state,
 )
+from holoent import sampling
 from holoent.sampling import BLOCK_SIZE
+from holoent.states import entropy_from_squared_schmidt
 
 PAGE_D3 = 0.6623015873015873  # 1669/2520
 PAGE_D4 = 0.9223956598956599
@@ -75,6 +80,91 @@ def test_mc_blocks_reproduce_the_documented_sampler():
     values = np.array(values)
     assert estimate.mean == pytest.approx(values.mean(), abs=1e-13)
     assert estimate.stderr == pytest.approx(values.std(ddof=1) / math.sqrt(n), abs=1e-13)
+
+
+def _one_shot_block_entropies(k, count, seed, block):
+    # the whole block drawn and processed at once, in one thread
+    rng = np.random.default_rng([seed, block])
+    x = rng.standard_normal((count, 2, k + 1, k + 1))
+    c = x[:, 0] + 1j * x[:, 1]
+    norms = np.sqrt(np.sum(np.abs(c) ** 2, axis=(1, 2)))
+    c /= norms[:, None, None]
+    sig = np.linalg.svd(c, compute_uv=False)
+    return entropy_from_squared_schmidt(sig**2)
+
+
+def _serial_reference(k, n, seed):
+    values = np.concatenate([
+        _one_shot_block_entropies(k, min(BLOCK_SIZE, n - start), seed, block)
+        for block, start in enumerate(range(0, n, BLOCK_SIZE))
+    ])
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n))
+
+
+@pytest.mark.parametrize("k", [1, 5, 20])
+@pytest.mark.parametrize("n", [100, 2 * BLOCK_SIZE + 37])
+def test_concurrent_chunked_blocks_equal_the_serial_one_shot_run(k, n):
+    estimate = mc_mean_entropy(k, n, seed=11)
+    assert (estimate.mean, estimate.stderr) == _serial_reference(k, n, 11)
+
+
+def test_blocks_are_processed_in_bounded_chunks(monkeypatch):
+    svd = np.linalg.svd
+    sizes = []
+
+    def recording_svd(a, **kwargs):
+        sizes.append(len(a))
+        return svd(a, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    mc_mean_entropy(20, BLOCK_SIZE + 37, seed=11)
+    assert sum(sizes) == BLOCK_SIZE + 37
+    assert len(sizes) > 2
+    assert max(sizes) * 21**2 <= sampling._CHUNK_COEFFS
+
+
+def test_concurrent_callers_get_the_sequential_results():
+    calls = [(5, 2 * BLOCK_SIZE + 37, 1), (20, BLOCK_SIZE + 1, 2)]
+    expected = [mc_mean_entropy(*call) for call in calls]
+    results = [None] * len(calls)
+
+    def run(i):
+        results[i] = mc_mean_entropy(*calls[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(calls))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == expected
+
+
+def test_worker_count_is_bounded_by_cpus_and_blocks():
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert sampling._worker_count(20, 1) == 1
+    assert sampling._worker_count(20, 10_000) == cpus
+
+
+def test_levels_with_threaded_svds_run_on_one_thread(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert sampling._worker_count(sampling._CONCURRENT_LEVEL_MAX, 10) == 4
+    assert sampling._worker_count(sampling._CONCURRENT_LEVEL_MAX + 1, 10) == 1
+
+
+def test_worker_count_falls_back_to_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert sampling._worker_count(20, 10) == 3
+    assert sampling._worker_count(20, 2) == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert sampling._worker_count(20, 10) == 1
 
 
 def test_mc_matches_page_oracle():

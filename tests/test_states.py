@@ -249,6 +249,27 @@ def test_json_roundtrip():
     assert np.array_equal(again.coeffs, state.coeffs)
 
 
+@pytest.mark.parametrize("record, field", [
+    ({"re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}, "'k'"),
+    ({"k": 1, "im": [[0, 0], [0, 0]]}, "'re'"),
+    ({"k": 1, "re": [[1, 0], [0, 0]]}, "'im'"),
+    ({"k": 1, "re": {"a": 1}, "im": [[0, 0], [0, 0]]}, "'re'"),
+    ({"k": 1, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0]]}, "'im'"),
+    ({"k": 1, "re": [[1, 0], [0, "x"]], "im": [[0, 0], [0, 0]]}, "'re'"),
+])
+def test_from_dict_names_the_malformed_field(record, field):
+    with pytest.raises(ValueError, match=field):
+        StateTensor.from_dict(record)
+
+
+def test_schmidt_data_gives_entropy_and_rank_of_its_state():
+    state = random_unit_state(3, np.random.default_rng(19))
+    decomposition = schmidt(state)
+    assert decomposition.entropy() == entanglement_entropy(state)
+    assert decomposition.rank() == schmidt_rank(state) == 4
+    assert decomposition.rank(tol=2.0) == 0
+
+
 def test_orthonormal_rows_flattens_states_read_only():
     basis = kernel_basis(3)
     rows = orthonormal_rows(basis)
