@@ -32,13 +32,7 @@ import numpy as np
 
 from . import optimize, restriction, sampling, toeplitz
 from .errors import HoloentError
-from .states import (
-    StateTensor,
-    entanglement_entropy,
-    schmidt,
-    schmidt_rank,
-    unit_norm,
-)
+from .states import StateTensor, schmidt, unit_norm
 
 SEED_ENV_VAR = "HOLOENT_SEED"
 
@@ -224,11 +218,13 @@ def cmd_named_vectors(args: argparse.Namespace) -> dict:
     table = []
     vectors = []
     for name, state in named:
-        entropy = entanglement_entropy(state)
+        unit_norm(state)
+        decomposition = schmidt(state)
+        entropy = decomposition.entropy()
         table.append({
             "name": name,
             "entropy": entropy,
-            "schmidt_rank": schmidt_rank(state),
+            "schmidt_rank": decomposition.rank(),
             "restriction_max_abs": restriction.restrict(state).max_abs(),
         })
         vectors.append({"name": name, "state": state, "entropy": entropy})

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSpectrum, NotNormalized
-from .states import StateTensor, entropy_from_squared_schmidt, orthonormal_rows
+from .states import StateTensor, entropy_from_squared_schmidt, orthonormal_rows, schmidt, unit_norm
 
 COORD_NORM_TOL = 1e-8
 DEGENERACY_GAP = 1e-10
@@ -61,7 +61,11 @@ class OptProblem:
 
 @dataclass(frozen=True)
 class OptResult:
-    """Best point found, with the gradient norm and residual diagnostics."""
+    """Best point found, with the gradient norm and residual diagnostics.
+
+    ``critical_residual`` is critical_residual(best_state), the Schmidt
+    spread on the support; it is finite for every best state.
+    """
 
     best_value: float
     best_state: StateTensor
@@ -192,36 +196,32 @@ def maximize(problem: OptProblem) -> OptResult:
     coeffs = u @ basis
     k = problem.subspace[0].k
     state = StateTensor(k, (coeffs / np.linalg.norm(coeffs)).reshape(k + 1, k + 1))
-    residual = critical_residual(state) if state.is_diagonal() else float("nan")
     return OptResult(
         best_value=value,
         best_state=state,
         grad_norm=gnorm,
         iterations=iters,
-        critical_residual=residual,
+        critical_residual=critical_residual(state),
         converged=any_converged,
         restart_values=tuple(restart_values),
     )
 
 
 def critical_residual(state: StateTensor, support_tol: float = 1e-10) -> float:
-    """Spread of the squared diagonal coefficients of a unit diagonal state.
+    """Spread max p - min p of the squared Schmidt coefficients p on their support.
 
-    Stationary diagonal states have all squared coefficients equal on
-    their support, so zero residual is the stationarity certificate.
-    Entries below support_tol are ignored, so states with vanishing
-    coefficients, such as the Bell-type pair, are certified on their
-    support.
+    Zero means a flat Schmidt spectrum, entropy ln(rank), the largest
+    entropy at that rank; it is the stationarity certificate on any
+    subspace. Squared coefficients below support_tol are outside the
+    support, so states with vanishing coefficients, such as the Bell-type
+    pair, are certified on their support. Finite for every unit state.
+
+    Raises
+    ------
+    NotNormalized
+        If the norm deviates from 1 by more than 1e-10 (see states.unit_norm).
     """
-    if not state.is_diagonal():
-        raise ValueError("critical residual is defined for diagonal states")
-    a = np.diag(state.coeffs)
-    weights = np.abs(a) ** 2
-    nrm = float(weights.sum())
-    if abs(nrm - 1.0) > 1e-8:
-        raise NotNormalized(f"state squared norm is {nrm!r}")
-    pool = np.append(weights, 1.0 - weights[1:].sum())
-    pool = pool[pool >= support_tol]
-    if pool.size == 0:
-        return 0.0
-    return float(pool.max() - pool.min())
+    unit_norm(state)
+    p = schmidt(state).alphas ** 2
+    p = p[p >= support_tol]
+    return float(p[0] - p[-1])

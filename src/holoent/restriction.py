@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from .sections import _mode_weights
-from .states import StateTensor
+from .states import StateTensor, frozen_complex
 
 
 @dataclass(frozen=True)
@@ -31,10 +31,9 @@ class LambdaRestriction:
     fourier: np.ndarray
 
     def __post_init__(self):
-        f = np.array(self.fourier, dtype=complex)
+        f = frozen_complex(self.fourier)
         if f.shape != (2 * self.k + 1,):
             raise ValueError(f"need {2 * self.k + 1} Fourier modes, got {f.shape}")
-        f.setflags(write=False)
         object.__setattr__(self, "fourier", f)
 
     def mode(self, d: int) -> complex:

@@ -91,12 +91,13 @@ def _mode_weights(k: int) -> tuple[np.ndarray, ...]:
 def monomial_integral(a: int, N: int) -> Fraction:
     """Moment integral of |z|^(2a) / (1+|z|^2)^N over the normalized measure.
 
-    Exact value a! (N-a)! / (N+1)! for 0 <= a <= N; outside that range the
-    integral diverges and DomainError is raised.
+    Exact value a! (N-a)! / (N+1)! = 1 / ((N+1) binom(N, a)) for
+    0 <= a <= N; outside that range the integral diverges and DomainError
+    is raised.
     """
     if a < 0 or N < 0 or a > N:
         raise DomainError(f"moment ({a}, {N}) outside 0 <= a <= N")
-    return Fraction(math.factorial(a) * math.factorial(N - a), math.factorial(N + 1))
+    return Fraction(1, (N + 1) * math.comb(N, a))
 
 
 def section_inner_product(k: int, i: int, j: int) -> float:

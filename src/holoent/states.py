@@ -148,9 +148,7 @@ class ReducedDensity:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", frozen_complex(self.matrix))
 
 
 def frobenius_norm(state: StateTensor) -> float:

@@ -361,6 +361,23 @@ def test_entropy_command_takes_one_svd(capsys, monkeypatch):
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_named_vectors_command_takes_one_svd_per_state(capsys, monkeypatch, k):
+    svd = np.linalg.svd
+    calls = []
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for fmt in ("csv", "json"):
+        calls.clear()
+        code, _, _ = run_cli(capsys, "named-vectors", "--k", str(k), "--format", fmt)
+        assert code == 0
+        assert len(calls) == 3
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("coeffs", [[[0.6, 0, 0], [0, 0, 0], [0, 0, 0.6]], [[0, 0, 0]] * 3])
 def test_entropy_command_rejects_non_unit_states(capsys, monkeypatch, fmt, coeffs):

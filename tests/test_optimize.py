@@ -221,6 +221,13 @@ def test_best_state_is_unit_and_in_subspace():
     assert np.linalg.norm(inside - flat) < 1e-9
 
 
+def test_maximize_certifies_a_non_diagonal_best_state():
+    result = maximize(OptProblem(subspace=tuple(kernel_basis(2)), seed=0))
+    assert not result.best_state.is_diagonal()
+    assert math.isfinite(result.critical_residual)
+    assert result.critical_residual == critical_residual(result.best_state)
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         OptProblem(subspace=())
@@ -281,10 +288,17 @@ def test_critical_residual_zero_on_bell_support():
 def test_critical_residual_detects_uneven_spectrum():
     state = StateTensor.from_diagonal(1, [math.sqrt(0.8), -math.sqrt(0.2)])
     assert critical_residual(state) == pytest.approx(0.6, abs=1e-12)
+    # a local unitary U (x) V maps C to U C V^T and keeps the Schmidt spectrum
+    rng = np.random.default_rng(4)
+    u, v = (np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+            for _ in range(2))
+    rotated = StateTensor(1, u @ state.coeffs @ v.T)
+    assert not rotated.is_diagonal()
+    assert critical_residual(rotated) == pytest.approx(0.6, abs=1e-12)
 
 
 def test_critical_residual_requires_diagonal_unit_state():
-    with pytest.raises(ValueError):
-        critical_residual(StateTensor.basis_element(1, 0, 1))
+    # off-diagonal states are certified too: a product state has one Schmidt value
+    assert critical_residual(StateTensor.basis_element(1, 0, 1)) == 0.0
     with pytest.raises(NotNormalized):
         critical_residual(StateTensor.from_diagonal(1, [0.25, 0.25]))

@@ -55,6 +55,13 @@ def test_moment_recursion_is_exact():
             assert monomial_integral(a, n) == monomial_integral(a - 1, n) * Fraction(a, n + 1 - a)
 
 
+def test_moment_closed_form_equals_factorial_formula():
+    for n in range(121):
+        for a in range(n + 1):
+            expected = Fraction(math.factorial(a) * math.factorial(n - a), math.factorial(n + 1))
+            assert monomial_integral(a, n) == expected
+
+
 def test_norm_const_examples():
     assert abs(basis_norm_const(1, 0) - math.sqrt(2)) < 1e-15
     for k in (1, 4, 9, 25):

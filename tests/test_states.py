@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from holoent import (
+    LambdaRestriction,
     NotNormalized,
     NotOrthonormal,
+    ReducedDensity,
     StateTensor,
     ZeroState,
     bell_vector,
@@ -239,6 +241,22 @@ def test_state_freezes_a_copy_of_writeable_coeffs():
     frozen = np.eye(3, dtype=complex)
     frozen.setflags(write=False)
     assert StateTensor(2, frozen).coeffs is frozen
+
+
+@pytest.mark.parametrize("record, field, shape", [
+    (LambdaRestriction, "fourier", (3,)),
+    (ReducedDensity, "matrix", (2, 2)),
+], ids=["LambdaRestriction", "ReducedDensity"])
+def test_records_freeze_a_copy_of_writeable_arrays(record, field, shape):
+    given = np.ones(shape, dtype=complex)
+    frozen = getattr(record(1, given), field)
+    given[0] = 5.0
+    assert np.all(frozen == 1.0)
+    assert not frozen.flags.writeable
+    with pytest.raises(ValueError):
+        frozen[0] = 3.0
+    given.setflags(write=False)
+    assert getattr(record(1, given), field) is given
 
 
 def test_json_roundtrip():
