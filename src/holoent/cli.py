@@ -62,11 +62,20 @@ _finite_float = _checked(float, math.isfinite, "expected a finite number")
 
 
 def _resolve_seed(seed: int | None) -> int:
-    """Explicit --seed wins; otherwise the environment default, else 0."""
+    """Explicit --seed wins; otherwise the environment default, else 0.
+
+    The environment value follows the --seed rule, a nonnegative integer;
+    anything else raises ValueError naming the variable.
+    """
     if seed is not None:
         return seed
     env = os.environ.get(SEED_ENV_VAR)
-    return int(env) if env else 0
+    if not env:
+        return 0
+    try:
+        return _nonnegative_int(env)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise ValueError(f"{SEED_ENV_VAR} must be a nonnegative integer, got {env!r}") from None
 
 
 def _add_output_options(p: argparse.ArgumentParser) -> None:

@@ -235,6 +235,15 @@ def test_explicit_seed_beats_env_var(capsys, monkeypatch):
     assert comments["seed"] == "9"
 
 
+@pytest.mark.parametrize("value", ["-1", "1.5", "abc"])
+def test_invalid_seed_env_var_is_a_usage_error_naming_it(capsys, monkeypatch, value):
+    monkeypatch.setenv("HOLOENT_SEED", value)
+    code, out, err = run_cli(capsys, "sphere-average", "--k", "1", "--n", "300")
+    assert code == 2
+    assert out == ""
+    assert "HOLOENT_SEED must be a nonnegative integer" in err
+
+
 def test_entropy_command_reads_state_file(capsys, tmp_path):
     path = tmp_path / "state.json"
     path.write_text(json.dumps(bell_vector(2).to_dict()))

@@ -20,7 +20,8 @@ from holoent import (
     max_entropy_vector,
     maximize,
 )
-from holoent.optimize import GRAD_LOG_FLOOR, _ascend
+from holoent import optimize
+from holoent.optimize import GRAD_LOG_FLOOR, REFERENCE_DECAY, _ascend
 from holoent.states import entropy_from_squared_schmidt, orthonormal_rows
 
 
@@ -79,6 +80,21 @@ def test_decomposable_direction_hits_entropy_floor():
 def test_gradient_requires_unit_coords():
     with pytest.raises(NotNormalized):
         entropy_and_gradient([bell_vector(1)], np.array([0.5]))
+
+
+@pytest.mark.parametrize("excess, raises", [(5e-9, True), (5e-11, False)])
+def test_gradient_and_certificate_share_one_unit_norm_tolerance(excess, raises):
+    basis = diagonal_kernel_basis(3)
+    coords = np.array([1.0 + excess, 0.0, 0.0])
+    state = StateTensor(3, coords[0] * basis[0].coeffs)
+    if raises:
+        with pytest.raises(NotNormalized):
+            entropy_and_gradient(basis, coords)
+        with pytest.raises(NotNormalized):
+            critical_residual(state)
+    else:
+        entropy_and_gradient(basis, coords)
+        critical_residual(state)
 
 
 def test_gradient_rejects_bad_length():
@@ -185,16 +201,46 @@ def test_maximize_invariant_under_global_phase_of_basis():
     assert abs(plain.best_value - twisted.best_value) <= 1e-9
 
 
-def test_ascent_history_is_monotone():
-    basis = diagonal_kernel_basis(5)
+@pytest.mark.parametrize("k", [2, 5, 20])
+def test_ascent_values_clear_the_nonmonotone_reference(k):
+    basis = diagonal_kernel_basis(k)
     rows = orthonormal_rows(basis)
     m = len(basis)
     rng = np.random.default_rng(8)
     for _ in range(5):
         u0 = rng.standard_normal(2 * m)
         u0 /= np.linalg.norm(u0)
-        _, history, _, _, _ = _ascend(rows, u0[:m] + 1j * u0[m:], 200, 1.0, 1e-8)
-        assert all(b >= a for a, b in zip(history, history[1:]))
+        _, history, _, _, converged = _ascend(rows, u0[:m] + 1j * u0[m:], 200, 1.0, 1e-8)
+        ref, q = history[0], 1.0
+        for value in history[1:]:
+            assert value >= ref
+            q_new = REFERENCE_DECAY * q + 1.0
+            ref_new = (REFERENCE_DECAY * q * ref + value) / q_new
+            assert ref_new >= ref
+            ref, q = ref_new, q_new
+        assert min(history) >= history[0]
+        if converged:
+            assert max(history) - history[-1] <= 8 * np.spacing(max(history))
+
+
+def test_every_sweep_restart_converges(monkeypatch):
+    runs = []
+
+    def recorded(*args):
+        out = _ascend(*args)
+        runs.append(out)
+        return out
+
+    monkeypatch.setattr(optimize, "_ascend", recorded)
+    for k in (2, 3, 10, 20, 30):
+        basis = tuple(diagonal_kernel_basis(k))
+        for seed in (0, 16):
+            runs.clear()
+            maximize(OptProblem(subspace=basis, restarts=16, seed=seed))
+            assert len(runs) == 16
+            assert all(converged for *_, converged in runs), (k, seed)
+            if k == 2:
+                assert max(iterations for _, _, _, iterations, _ in runs) <= 150
 
 
 def test_no_convergence_is_flagged_not_fatal():
