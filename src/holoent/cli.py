@@ -5,13 +5,21 @@ returns one record, from which both output formats are derived:
 
 - ``params``: the flags and derived settings in effect, written as
   ``# key=value`` provenance lines in CSV and as ``params`` in JSON;
-- ``columns`` and ``rows``: the CSV header and an iterable of rows of
-  plain Python values, consumed once by ``render_csv`` (a JSON run never
-  iterates it, so large tables are built only for CSV);
+- ``columns``: the CSV header;
+- ``rows`` or ``lines``: the CSV body, consumed once by ``render_csv``
+  (a JSON run never iterates it, so large tables are built only for
+  CSV). ``rows`` is an iterable of rows of plain Python values, written
+  by ``csv.writer``; every small table takes this path. ``lines`` is an
+  iterable of finished text lines, written as they are; ``kernel`` gives
+  its float coefficient rows this way, pre-formatted by ``_float_rows``;
 - ``data``: the JSON payload, which holds StateTensor, ToeplitzMatrix and
-  ndarray values as they are; ``render_json`` serializes them through a
-  single ``json.dumps`` hook (a CSV run never converts them);
+  ndarray values as they are; ``render_json`` serializes them (a CSV run
+  never converts them);
 - ``exit_code`` (optional): the exit status when it is not 0.
+
+Float coefficient arrays are rendered as whole rows of text in both
+formats, byte-identical to what ``csv.writer`` and ``json.dumps(indent=2)``
+write for their ``tolist()``.
 
 JSON output follows the schema shipped in schemas/output.schema.json.
 Float flags must be finite. Exit codes: 0 success, 2 usage or
@@ -26,7 +34,9 @@ import io
 import json
 import math
 import os
+import re
 import sys
+from itertools import islice
 
 import numpy as np
 
@@ -35,6 +45,10 @@ from .errors import HoloentError
 from .states import StateTensor, schmidt, unit_norm
 
 SEED_ENV_VAR = "HOLOENT_SEED"
+# states per coefficient stack when kernel rows are rendered
+_STATE_CHUNK = 64
+# characters per write of the output text
+_EMIT_CHUNK = 1 << 20
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -161,14 +175,44 @@ def _table(records: list[dict]) -> dict:
     }
 
 
-def _state_rows(states: list[StateTensor]):
-    """Rows [index, re, im, re, im, ...] of states, coefficients in C order.
+def _float_rows(values: np.ndarray, sep: str):
+    """Text of each row of a 2-D float array: the repr of its cells joined by sep.
 
-    A generator: the (count, k+1, k+1) stack is built on the first row.
+    Returns an iterator that does not hold the array. The text is what
+    csv.writer and json.dumps write for the row's ``tolist()``. Kernel
+    coefficients are mostly +0.0, so a run of cells whose bit pattern is
+    0 is one string product and repr runs only on the other cells; -0.0
+    and non-finite cells are among those.
     """
-    flat = np.stack([state.coeffs for state in states]).view(float).reshape(len(states), -1)
-    for index, values in enumerate(flat):
-        yield [index, *values.tolist()]
+    zero = "0.0" + sep
+    width = values.shape[1]
+    rows, cols = np.nonzero(values.view(np.uint64))
+    cells = zip(cols.tolist(), values[rows, cols].tolist())
+
+    def row_text(count):
+        pieces = []
+        start = 0
+        for col, value in islice(cells, count):
+            pieces.append(zero * (col - start) + repr(value))
+            start = col + 1
+        if start < width:
+            pieces.append(zero * (width - 1 - start) + "0.0")
+        return sep.join(pieces)
+
+    return map(row_text, np.bincount(rows, minlength=len(values)).tolist())
+
+
+def _state_lines(states: list[StateTensor]):
+    """CSV lines ``index,re,im,re,im,...`` of states, coefficients in C order.
+
+    A generator. States are stacked _STATE_CHUNK at a time, so no
+    (count, k+1, k+1) copy of a large basis is held beside its text.
+    """
+    for first in range(0, len(states), _STATE_CHUNK):
+        stack = np.stack([state.coeffs for state in states[first:first + _STATE_CHUNK]])
+        rows = _float_rows(stack.view(float).reshape(len(stack), -1), ",")
+        for index, row in enumerate(rows, first):
+            yield f"{index},{row}\n"
 
 
 def _entry_rows(matrices: dict[str, np.ndarray]):
@@ -212,7 +256,7 @@ def cmd_kernel(args: argparse.Namespace) -> dict:
     return {
         "params": params,
         "columns": columns,
-        "rows": _state_rows(basis),
+        "lines": _state_lines(basis),
         "data": {**params, "basis": basis},
     }
 
@@ -337,11 +381,11 @@ _COMMANDS = {
 
 
 def render_csv(command: str, result: dict) -> str:
-    """CSV text of a command record: provenance comments, header, then rows.
+    """CSV text of a command record: provenance comments, header, then the body.
 
-    ``result["rows"]`` is an iterable of rows of plain Python values; it
-    is consumed once, here. The csv module writes a float as its repr;
-    bools are written ``true``/``false``.
+    The body is ``result["rows"]``, written by csv.writer (a float as its
+    repr, bools as ``true``/``false``), or ``result["lines"]``, written
+    as they are; either is consumed once, here.
     """
     buffer = io.StringIO()
     buffer.write(f"# command={command}\n")
@@ -349,40 +393,87 @@ def render_csv(command: str, result: dict) -> str:
         buffer.write(f"# {key}={_format_cell(value)}\n")
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(result["columns"])
-    writer.writerows(result["rows"])
+    writer.writerows(result.get("rows", ()))
+    buffer.writelines(result.get("lines", ()))
     return buffer.getvalue()
 
 
-def _to_json(value):
-    """json.dumps hook for the library objects a record's ``data`` holds."""
-    if isinstance(value, (StateTensor, toeplitz.ToeplitzMatrix)):
-        return value.to_dict()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+# json.dumps text of the placeholder string that stands for float array n
+_ARRAY_PLACEHOLDER = re.compile(r'"\\u0000(\d+)"')
+
+
+def _json_array(values: np.ndarray, indent: str) -> str:
+    """json.dumps(values.tolist(), indent=2) text of a 2-D float array.
+
+    ``indent`` is the indentation of the line the array opens on. A
+    non-finite entry raises ValueError, as json.dumps does with
+    allow_nan=False.
+    """
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ValueError("Out of range float values are not JSON compliant: "
+                         + repr(float(values[~finite][0])))
+    inner = indent + "    "
+    rows = _float_rows(values, ",\n" + inner)
+    return ("[\n" + ",\n".join(f"{indent}  [\n{inner}{row}\n{indent}  ]" for row in rows)
+            + f"\n{indent}]")
 
 
 def render_json(command: str, result: dict) -> str:
     """JSON text {"command", "params", "data"} of a command record.
 
     ``result["data"]`` may hold StateTensor, ToeplitzMatrix and ndarray
-    values as they are; they are serialized here, through ``to_dict()``
-    and ``tolist()``. Any other unknown object raises TypeError.
+    values as they are. The record of a StateTensor or ToeplitzMatrix is
+    its ``to_dict()``, with the "re" and "im" arrays rendered by
+    ``_json_array`` and spliced into the ``json.dumps`` text of the rest;
+    an ndarray goes through ``tolist()``. Any other unknown object raises
+    TypeError, and a non-finite float ValueError.
     """
+    arrays = []
+
+    def placeholder(values):
+        arrays.append(values)
+        return f"\0{len(arrays) - 1}"
+
+    def to_json(value):
+        if isinstance(value, StateTensor):
+            return {"k": value.k, "re": placeholder(value.coeffs.real),
+                    "im": placeholder(value.coeffs.imag)}
+        if isinstance(value, toeplitz.ToeplitzMatrix):
+            return {"k": value.k, "dim": value.dim, "re": placeholder(value.entries.real),
+                    "im": placeholder(value.entries.imag)}
+        if isinstance(value, np.ndarray):
+            return value.tolist()
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
     payload = {
         "command": command,
         "params": result["params"],
         "data": result["data"],
     }
-    return json.dumps(payload, indent=2, default=_to_json, allow_nan=False) + "\n"
+    text = json.dumps(payload, indent=2, default=to_json, allow_nan=False)
+    pieces = _ARRAY_PLACEHOLDER.split(text)
+    for i in range(1, len(pieces), 2):
+        line = pieces[i - 1][pieces[i - 1].rfind("\n") + 1:]
+        indent = line[:len(line) - len(line.lstrip(" "))]
+        pieces[i] = _json_array(arrays[int(pieces[i])], indent)
+    pieces.append("\n")
+    return "".join(pieces)
+
+
+def _write(handle, text: str) -> None:
+    """Write text in slices of _EMIT_CHUNK characters, so that only one
+    slice at a time is held encoded beside the text."""
+    for start in range(0, len(text), _EMIT_CHUNK):
+        handle.write(text[start:start + _EMIT_CHUNK])
 
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        _write(sys.stdout, text)
     else:
         with open(out, "w") as handle:
-            handle.write(text)
+            _write(handle, text)
 
 
 def main(argv=None) -> int:

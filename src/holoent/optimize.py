@@ -138,10 +138,17 @@ def entropy_and_gradient(subspace, coords):
 
 
 def _ascend(basis, u0, max_iters, step0, tol_grad):
-    """Run one ascent from u0; returns (u, history, grad_norm, iterations, converged)."""
+    """Run one ascent from u0; returns (u, history, grad_norm, iterations, converged).
+
+    ``history`` holds the value of every accepted iterate. ``u`` is the
+    last iterate when the ascent converged and the best one seen (the
+    latest of equals) otherwise, since the nonmonotone search may have
+    moved below it; ``grad_norm`` is the gradient norm at ``u``.
+    """
     u = u0
     f, g = _value_and_gradient(basis, u)
     history = [f]
+    best = (f, u, g)
     iterations = 0
     trial = step0
     # Zhang-Hager reference C, the q-weighted average of accepted values
@@ -178,8 +185,13 @@ def _ascend(basis, u0, max_iters, step0, tol_grad):
         ref, q = (REFERENCE_DECAY * q * ref + f_new) / q_new, q_new
         history.append(f_new)
         iterations += 1
+        if f_new >= best[0]:
+            best = (f_new, u, g)
     gnorm = float(np.linalg.norm(g))
-    return u, history, gnorm, iterations, gnorm <= tol_grad
+    if gnorm <= tol_grad:
+        return u, history, gnorm, iterations, True
+    _, u, g = best
+    return u, history, float(np.linalg.norm(g)), iterations, False
 
 
 def maximize(problem: OptProblem) -> OptResult:
@@ -189,10 +201,12 @@ def maximize(problem: OptProblem) -> OptResult:
     covers the full complex sphere; phases connect the real sign patterns
     that would otherwise trap it. Restart r starts from a standard normal
     draw of 2m reals from a generator seeded with seed + r, normalized and
-    read as real and imaginary coordinate blocks. Among equal values the
-    lowest restart index wins, so the result is deterministic regardless
-    of execution order. The result is flagged as not converged when no
-    restart reached the gradient tolerance.
+    read as real and imaginary coordinate blocks. A restart's value is that
+    of the iterate its ascent returns: the last one when it converged, the
+    best one seen otherwise. Among equal values the lowest restart index
+    wins, so the result is deterministic regardless of execution order.
+    The result is flagged as not converged when no restart reached the
+    gradient tolerance.
     """
     basis = problem.basis
     m = len(basis)
@@ -206,10 +220,11 @@ def maximize(problem: OptProblem) -> OptResult:
         u, history, gnorm, iters, converged = _ascend(
             basis, x[:m] + 1j * x[m:], problem.max_iters, problem.step0, problem.tol_grad
         )
-        restart_values.append(history[-1])
+        value = history[-1] if converged else max(history)
+        restart_values.append(value)
         any_converged = any_converged or converged
-        if best is None or history[-1] > best[0]:
-            best = (history[-1], u, gnorm, iters)
+        if best is None or value > best[0]:
+            best = (value, u, gnorm, iters)
     value, u, gnorm, iters = best
     coeffs = u @ basis
     k = problem.subspace[0].k

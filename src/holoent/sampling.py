@@ -20,7 +20,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -140,19 +139,34 @@ def mc_mean_entropy(k: int, n: int, seed: int) -> MCEstimate:
     return MCEstimate(k=k, n_samples=n, mean=mean, stderr=stderr, seed=seed)
 
 
-def _harmonic(n: int) -> Fraction:
-    return sum((Fraction(1, i) for i in range(1, n + 1)), Fraction(0))
+def _reciprocal_sum(a: int, b: int) -> tuple[int, int]:
+    """Integers (p, q) with p/q = sum of 1/i for a <= i < b and q = a (a+1) ... (b-1).
+
+    Binary splitting: the halves are summed over the product of their
+    denominators, so the big multiplications are few and balanced.
+    """
+    if b - a <= 16:
+        p, q = 0, 1
+        for i in range(a, b):
+            p, q = p * i + q, q * i
+        return p, q
+    mid = (a + b) // 2
+    p1, q1 = _reciprocal_sum(a, mid)
+    p2, q2 = _reciprocal_sum(mid, b)
+    return p1 * q2 + p2 * q1, q1 * q2
 
 
 def page_mean(d: int) -> float:
     """Exact mean entanglement entropy of a uniform pure state on a d x d space.
 
     H(d^2) - H(d) - (d-1)/(2d) with H the harmonic numbers, evaluated in
-    exact rational arithmetic before conversion.
+    exact integer arithmetic: H(d^2) - H(d) = p/q by binary splitting,
+    then one correctly rounded division (2d p - (d-1) q) / (2d q).
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    return float(_harmonic(d * d) - _harmonic(d) - Fraction(d - 1, 2 * d))
+    p, q = _reciprocal_sum(d + 1, d * d + 1)
+    return (2 * d * p - (d - 1) * q) / (2 * d * q)
 
 
 def asymptotic_mean_entropy(model: AsymptoticModel, k: int) -> float:

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import re
 from importlib import resources
 from pathlib import Path
 
@@ -11,7 +12,14 @@ import jsonschema
 import numpy as np
 import pytest
 
-from holoent import bell_vector, near_product_entropy, page_mean
+from holoent import (
+    StateTensor,
+    ToeplitzMatrix,
+    bell_vector,
+    kernel_basis,
+    near_product_entropy,
+    page_mean,
+)
 from holoent import cli
 from holoent.cli import main, render_json
 
@@ -521,3 +529,126 @@ def test_csv_and_json_carry_equal_shared_fields(capsys, monkeypatch, argv):
                 assert text == csv_text(record[key]), key
                 shared += 1
     assert shared >= 2 * len(rows)
+
+
+# Byte identity of the renderers with the stdlib: every row through
+# csv.writer, and every value through json.dumps(indent=2).
+
+def reference_kernel_csv(k, basis):
+    n = k + 1
+    buffer = io.StringIO()
+    buffer.write(f"# command=kernel\n# k={k}\n# dim={len(basis)}\n")
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["vector"] + [f"{part}_{i}_{j}" for i in range(n) for j in range(n)
+                                  for part in ("re", "im")])
+    writer.writerows([index, *state.coeffs.view(float).ravel().tolist()]
+                     for index, state in enumerate(basis))
+    return buffer.getvalue()
+
+
+def reference_json(command, result):
+    def to_dict(value):
+        if isinstance(value, (StateTensor, ToeplitzMatrix)):
+            return value.to_dict()
+        if isinstance(value, np.ndarray):
+            return value.tolist()
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+    payload = {"command": command, "params": result["params"], "data": result["data"]}
+    return json.dumps(payload, indent=2, default=to_dict, allow_nan=False) + "\n"
+
+
+def command_record(*argv):
+    args = cli.build_parser().parse_args(list(argv))
+    return cli._COMMANDS[args.command](args)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_kernel_output_is_byte_identical_to_the_stdlib(capsys, k):
+    basis = kernel_basis(k)
+    code, out, _ = run_cli(capsys, "kernel", "--k", str(k))
+    assert code == 0
+    assert out == reference_kernel_csv(k, basis)
+    code, out, _ = run_cli(capsys, "kernel", "--k", str(k), "--format", "json")
+    assert code == 0
+    assert out == reference_json("kernel", command_record("kernel", "--k", str(k)))
+
+
+@pytest.mark.parametrize("argv", [
+    ("named-vectors", "--k", "6"),
+    ("maximize", "--k", "3", "--seed", "1", "--restarts", "3", "--trace"),
+    ("entropy", "--state", "{state}"),
+    ("entropy", "--state", "{state}", "--restriction"),
+    ("toeplitz-check",),
+])
+def test_json_output_is_byte_identical_to_the_stdlib(tmp_path, argv):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(bell_vector(3).to_dict()))
+    argv = [arg.replace("{state}", str(path)) for arg in argv]
+    result = command_record(*argv)
+    assert render_json(argv[0], result) == reference_json(argv[0], result)
+
+
+SPECIAL_VALUES = [-0.0, 5e-324, 1e-05, 0.0001, 1e16, 9999999999999998.0, -2.5, 1 / 3]
+
+
+def synthetic_states(k):
+    """States whose coefficients hold awkward floats, repeats, zero rows and full rows."""
+    n = k + 1
+    rng = np.random.default_rng(k)
+    states = []
+    for seed in range(4):
+        values = rng.choice(SPECIAL_VALUES + [0.0] * 8, size=(n, n, 2))
+        values[seed % n] = 0.0  # an all-zero row
+        values[(seed + 1) % n] = rng.choice(SPECIAL_VALUES, size=(n, 2))  # no zeros
+        states.append(StateTensor(k, values[..., 0] + 1j * values[..., 1]))
+    states.append(StateTensor(k, np.full((n, n), -0.0 - 0.0j)))
+    states.append(StateTensor(k, np.zeros((n, n))))
+    return states
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_special_coefficients_render_like_the_stdlib(capsys, monkeypatch, k):
+    states = synthetic_states(k)
+    monkeypatch.setattr(cli.restriction, "kernel_basis", lambda level: states)
+    code, out, _ = run_cli(capsys, "kernel", "--k", str(k))
+    assert code == 0
+    assert out == reference_kernel_csv(k, states)
+    code, out, _ = run_cli(capsys, "kernel", "--k", str(k), "--format", "json")
+    assert code == 0
+    assert out == reference_json("kernel", {"params": {"k": k, "dim": len(states)},
+                                            "data": {"k": k, "dim": len(states),
+                                                     "basis": states}})
+
+
+def test_arrays_render_like_the_stdlib_at_every_depth():
+    states = synthetic_states(2)
+    matrix = ToeplitzMatrix(1, np.outer(SPECIAL_VALUES[:4], SPECIAL_VALUES[4:])
+                            + 1j * np.eye(4))
+    data = {"state": states[0], "nested": [[states[1], {"matrix": matrix}], states[2:]],
+            "values": np.array(SPECIAL_VALUES)}
+    result = {"params": {"k": 2}, "data": data}
+    assert render_json("kernel", result) == reference_json("kernel", result)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_coefficients_keep_their_stdlib_behaviour(capsys, monkeypatch, value):
+    coeffs = np.zeros((3, 3), dtype=complex)
+    coeffs[1, 2] = value
+    coeffs[2, 0] = 1j * value
+    states = [StateTensor(2, coeffs)]
+    monkeypatch.setattr(cli.restriction, "kernel_basis", lambda level: states)
+    # CSV writes the float's repr, as csv.writer does
+    code, out, _ = run_cli(capsys, "kernel", "--k", "2")
+    assert code == 0
+    assert out == reference_kernel_csv(2, states)
+    assert repr(value) in out
+    # JSON refuses, with json.dumps's message, and exits 2
+    result = {"params": {"k": 2, "dim": 1}, "data": {"k": 2, "dim": 1, "basis": states}}
+    with pytest.raises(ValueError) as expected:
+        reference_json("kernel", result)
+    with pytest.raises(ValueError, match="^" + re.escape(str(expected.value)) + "$"):
+        render_json("kernel", result)
+    code, out, err = run_cli(capsys, "kernel", "--k", "2", "--format", "json")
+    assert code == 2 and out == ""
+    assert err == f"holoent kernel: {expected.value}\n"

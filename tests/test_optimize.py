@@ -243,6 +243,30 @@ def test_every_sweep_restart_converges(monkeypatch):
                 assert max(iterations for _, _, _, iterations, _ in runs) <= 150
 
 
+@pytest.mark.parametrize("k", [2, 3, 10])
+def test_capped_restarts_report_their_best_iterate(k):
+    basis = diagonal_kernel_basis(k)
+    rows = orthonormal_rows(basis)
+    m = len(basis)
+    seed, restarts = 0, 16
+    stopped_below_best = 0
+    for max_iters in range(3, 13):
+        result = maximize(OptProblem(subspace=tuple(basis), max_iters=max_iters,
+                                     restarts=restarts, seed=seed))
+        for r, reported in enumerate(result.restart_values):
+            x = np.random.default_rng(seed + r).standard_normal(2 * m)
+            x /= np.linalg.norm(x)
+            u, history, gnorm, _, converged = _ascend(
+                rows, x[:m] + 1j * x[m:], max_iters, 1.0, 1e-8)
+            value, grad = optimize._value_and_gradient(rows, u)
+            assert reported == (history[-1] if converged else max(history))
+            assert value == reported and gnorm == np.linalg.norm(grad)
+            stopped_below_best += history[-1] < max(history)
+        assert result.best_value == max(result.restart_values)
+    # the cap does stop some ascents below their best value
+    assert stopped_below_best > 0
+
+
 def test_no_convergence_is_flagged_not_fatal():
     problem = OptProblem(
         subspace=tuple(diagonal_kernel_basis(2)),

@@ -4,6 +4,7 @@ import math
 import os
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -185,6 +186,21 @@ def test_page_mean_values():
     assert page_mean(2) == pytest.approx(1 / 3, abs=1e-15)
     assert page_mean(3) == pytest.approx(PAGE_D3, abs=1e-15)
     assert page_mean(4) == pytest.approx(PAGE_D4, abs=1e-15)
+
+
+def test_page_mean_is_the_exact_fraction_correctly_rounded():
+    # oracle: the harmonic numbers summed as Fractions, one term at a time
+    d_max = 120
+    wanted = set(range(1, d_max + 1)) | {d * d for d in range(1, d_max + 1)}
+    harmonic = {}
+    total = Fraction(0)
+    for i in range(1, d_max * d_max + 1):
+        total += Fraction(1, i)
+        if i in wanted:
+            harmonic[i] = total
+    for d in range(1, d_max + 1):
+        exact = harmonic[d * d] - harmonic[d] - Fraction(d - 1, 2 * d)
+        assert page_mean(d) == float(exact), d
 
 
 def test_page_mean_rejects_bad_dimension():
