@@ -35,6 +35,7 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 from itertools import islice
 
@@ -468,10 +469,29 @@ def _write(handle, text: str) -> None:
         handle.write(text[start:start + _EMIT_CHUNK])
 
 
+def _remove_regular_file(path: str) -> None:
+    """Remove path if it is a regular file with no other hard link.
+
+    Output is then written to a new file (with default permissions)
+    rather than by truncating the old one. On ext4 (auto_da_alloc),
+    truncating a file and closing it starts writeback of the new data,
+    and the next truncation waits for that writeback, so rewriting a
+    large output file would wait on disk I/O. Symlinks, hard-linked
+    files, devices and pipes are left alone and written through.
+    """
+    try:
+        info = os.lstat(path)
+        if stat.S_ISREG(info.st_mode) and info.st_nlink == 1:
+            os.unlink(path)
+    except OSError:
+        pass  # missing, or not removable: open() below reports what matters
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         _write(sys.stdout, text)
     else:
+        _remove_regular_file(out)
         with open(out, "w") as handle:
             _write(handle, text)
 

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 from importlib import resources
 from pathlib import Path
@@ -311,6 +312,34 @@ def test_output_file_writing(capsys, tmp_path):
     comments, _, rows = parse_csv(target.read_text())
     assert comments["command"] == "bk-series"
     assert len(rows) == 2
+
+
+def test_existing_output_file_is_replaced_not_truncated(capsys, tmp_path):
+    target = tmp_path / "series.csv"
+    target.write_text("stale\n" * 1000)
+    with open(target) as old:
+        code, _, _ = run_cli(capsys, "bk-series", "--k-max", "2", "--out", str(target))
+        assert code == 0
+        # the old file was unlinked, not rewritten: an open handle still reads it
+        assert os.fstat(old.fileno()).st_nlink == 0
+        assert old.read() == "stale\n" * 1000
+    comments, _, rows = parse_csv(target.read_text())
+    assert comments["command"] == "bk-series" and len(rows) == 2
+
+
+def test_linked_output_files_are_written_through(capsys, tmp_path):
+    target = tmp_path / "series.csv"
+    target.write_text("stale\n")
+    os.link(target, tmp_path / "hard.csv")
+    (tmp_path / "soft.csv").symlink_to(target)
+    for name in ("hard.csv", "soft.csv"):
+        target.write_text("stale\n")
+        code, _, _ = run_cli(capsys, "bk-series", "--k-max", "2", "--out", str(tmp_path / name))
+        assert code == 0
+        assert (tmp_path / "soft.csv").is_symlink()
+        assert os.stat(target).st_nlink == 2
+        assert target.read_text().startswith("# command=bk-series\n")
+        assert (tmp_path / "hard.csv").read_text() == target.read_text()
 
 
 def test_output_path_that_cannot_be_opened_is_usage_error(capsys, tmp_path):
