@@ -29,10 +29,8 @@ from .restriction import (
     restrict,
 )
 from .sampling import (
-    AsymptoticModel,
     MCEstimate,
     asymptotic_mean_entropy,
-    cp1_model,
     fit_tail,
     mc_mean_entropy,
     page_mean,

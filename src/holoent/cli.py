@@ -356,7 +356,7 @@ def cmd_sphere_average(args: argparse.Namespace) -> dict:
         "mean": estimate.mean,
         "stderr": estimate.stderr,
         "page_exact": sampling.page_mean(args.k + 1),
-        "asymptotic_prediction": sampling.asymptotic_mean_entropy(sampling.cp1_model(), args.k),
+        "asymptotic_prediction": sampling.asymptotic_mean_entropy(args.k),
         "seed": seed,
     }
     params = {"k": args.k, "n": args.n, "seed": seed}

@@ -134,6 +134,8 @@ def near_product_vector(k: int) -> StateTensor:
     The diagonal coefficients are a_0 = -k/sqrt(1+k^2), a_1 = 1/sqrt(1+k^2);
     its entanglement entropy decays to zero as the level grows.
     """
+    if k < 1:
+        raise ValueError("level k must be >= 1")
     s = 1.0 / math.sqrt(1.0 + k * k)
     diag = np.zeros(k + 1, dtype=complex)
     diag[0] = -k * s
@@ -143,6 +145,8 @@ def near_product_vector(k: int) -> StateTensor:
 
 def near_product_entropy(k: int) -> float:
     """Closed-form entropy of near_product_vector(k)."""
+    if k < 1:
+        raise ValueError("level k must be >= 1")
     p = 1.0 / (1.0 + k * k)
     q = (k * k) / (1.0 + k * k)
     return -p * math.log(p) - q * math.log(q)
@@ -165,6 +169,11 @@ def max_entropy_vector(k: int) -> StateTensor:
     a_j = (-1)^j / sqrt(k+1): the alternating signs cancel against the
     binomial weights because sum_j (-1)^j binom(k,j) = 0, and the equal
     moduli give full Schmidt rank and entropy ln(k+1), the global bound.
+
+    Geometrically it is (-1)^k sigma^k / ||sigma^k|| with
+    sigma = z0 w0 - z1 w1: in the affine frame its value is
+    sqrt(k+1) (1 - z w)^k, so it vanishes to order k on the curve
+    {sigma = 0}, which contains the antidiagonal circle.
     """
     signs = np.where(np.arange(k + 1) % 2 == 0, 1.0, -1.0)
     return StateTensor.from_diagonal(k, signs / math.sqrt(k + 1.0))

@@ -49,29 +49,6 @@ class MCEstimate:
     seed: int
 
 
-@dataclass(frozen=True)
-class AsymptoticModel:
-    """Coefficients of the large-level mean-entropy expansion.
-
-    m is the complex dimension of the underlying manifold; beta and gamma
-    are the volume and twisted-volume coefficients. The sphere with the
-    degree-one bundle has m = 1, beta = 1, gamma = 2.
-    """
-
-    m: int = 1
-    beta: float = 1.0
-    gamma: float = 2.0
-
-    def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-
-
-def cp1_model() -> AsymptoticModel:
-    """Model coefficients for the sphere with the degree-one bundle."""
-    return AsymptoticModel(m=1, beta=1.0, gamma=2.0)
-
-
 def sample_uniform_state(k: int, rng: np.random.Generator) -> StateTensor:
     """One uniform unit state: normalized standard complex Gaussian coefficients."""
     x = rng.standard_normal((2, k + 1, k + 1))
@@ -124,6 +101,8 @@ def mc_mean_entropy(k: int, n: int, seed: int) -> MCEstimate:
     holding one chunk of samples at a time; results are reduced in block
     order, so the estimate is bit-identical to running the blocks serially.
     """
+    if k < 1:
+        raise ValueError("level k must be >= 1")
     if n < 100:
         raise ValueError("need at least 100 samples")
     starts = range(0, n, BLOCK_SIZE)
@@ -169,23 +148,24 @@ def page_mean(d: int) -> float:
     return (2 * d * p - (d - 1) * q) / (2 * d * q)
 
 
-def asymptotic_mean_entropy(model: AsymptoticModel, k: int) -> float:
-    """Expansion m ln k - 1/2 + ln(beta) + (gamma/beta)/k of the sphere average."""
+def asymptotic_mean_entropy(k: int) -> float:
+    """Large-level sphere average ln(k+1) - 1/2 of the entropy at level k.
+
+    A uniform state on two copies of the degree-k sections is a Page state
+    of dimension N(k) = k + 1, the dimension of the sections by
+    Riemann-Roch, so its mean entropy is ln N - 1/2 + O(N^-2). The value
+    lies below page_mean(k+1) by at most 7/(12 (k+1)^2).
+    """
     if k < 1:
         raise ValueError("level k must be >= 1")
-    return (
-        model.m * math.log(k)
-        - 0.5
-        + math.log(model.beta)
-        + (model.gamma / model.beta) / k
-    )
+    return math.log(k + 1) - 0.5
 
 
 def fit_tail(pairs) -> tuple[float, float]:
     """Least-squares fit of mean - ln k against (1, 1/k).
 
-    Returns (c0, c1): the constant term, comparable to -1/2 + ln(beta),
-    and the 1/k coefficient, comparable to gamma/beta.
+    Returns (c0, c1): the constant term, comparable to -1/2, and the 1/k
+    coefficient, comparable to 1 since ln(k+1) = ln k + 1/k + O(1/k^2).
 
     Raises
     ------

@@ -23,10 +23,6 @@ import numpy as np
 
 from .errors import DomainError, IndexOutOfRange
 
-# Above this level the exact integer binomial under the square root is
-# traded for a log-gamma evaluation to avoid huge intermediates.
-EXACT_LEVEL_MAX = 40
-
 # Largest level whose weight table can be built: above it the integer
 # product binom(k,i) binom(k,j) under the square root exceeds the largest
 # float near i = j = k/2.
@@ -41,23 +37,34 @@ def _check_index(k: int, j: int) -> None:
 
 
 def basis_norm_const(k: int, j: int) -> float:
-    """Normalization constant sqrt((k+1) * binom(k, j)) of the basis section e_j."""
+    """Normalization constant sqrt((k+1) * binom(k, j)) of the basis section e_j.
+
+    Raises
+    ------
+    DomainError
+        If the constant exceeds the largest float (from k = 2043, near j = k/2).
+    """
     _check_index(k, j)
-    if k <= EXACT_LEVEL_MAX:
-        return math.sqrt((k + 1) * math.comb(k, j))
-    log_sq = (
-        math.log(k + 1)
-        + math.lgamma(k + 1)
-        - math.lgamma(j + 1)
-        - math.lgamma(k - j + 1)
-    )
-    return math.exp(0.5 * log_sq)
+    try:
+        return _exact_sqrt((k + 1) * math.comb(k, j))
+    except OverflowError:
+        raise DomainError(f"sqrt((k+1) binom(k,{j})) overflows a float at k={k}") from None
 
 
 def _exact_sqrt(m: int) -> float:
-    """sqrt(m) of a nonnegative integer, exact when m is a perfect square."""
+    """sqrt(m) of a nonnegative integer, exact when m is a perfect square.
+
+    An m too large for a float (from 2^1024) has its square root taken as
+    the float of its integer square root, within one ulp; OverflowError
+    when that too exceeds the float range.
+    """
     r = math.isqrt(m)
-    return float(r) if r * r == m else math.sqrt(m)
+    if r * r != m:
+        try:
+            return math.sqrt(m)
+        except OverflowError:
+            pass
+    return float(r)
 
 
 @functools.lru_cache

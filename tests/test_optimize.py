@@ -1,5 +1,6 @@
 """Gradient correctness and entropy maximization over kernel subspaces."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -66,14 +67,16 @@ def realified_entropy_and_gradient(subspace, coords):
 
 
 def test_single_ray_value_and_zero_gradient():
-    value, grad = entropy_and_gradient([bell_vector(1)], np.array([1.0]))
+    with pytest.warns(DegenerateSpectrum):
+        value, grad = entropy_and_gradient([bell_vector(1)], np.array([1.0]))
     assert abs(value - math.log(2)) < 1e-12
     assert np.allclose(grad, 0.0, atol=1e-14)
 
 
 def test_decomposable_direction_hits_entropy_floor():
     subspace = [StateTensor.basis_element(2, 0, 0)]
-    value, _ = entropy_and_gradient(subspace, np.array([1.0]))
+    with pytest.warns(DegenerateSpectrum):
+        value, _ = entropy_and_gradient(subspace, np.array([1.0]))
     assert value == 0.0
 
 
@@ -116,7 +119,9 @@ def test_gradient_matches_finite_differences(k):
         size = m if trial % 2 == 0 else 2 * m
         coords = rng.standard_normal(size)
         coords /= np.linalg.norm(coords)
-        value, grad = entropy_and_gradient(subspace, coords)
+        # at k = 1 the only kernel state is a Bell state, whose Schmidt values tie
+        with pytest.warns(DegenerateSpectrum) if k == 1 else contextlib.nullcontext():
+            value, grad = entropy_and_gradient(subspace, coords)
         assert abs(value - entropy_of_coords(subspace, coords)) < 1e-12
         fd = finite_difference_gradient(subspace, coords)
         scale = max(1.0, float(np.linalg.norm(fd)))

@@ -366,6 +366,26 @@ def test_max_entropy_vector_even(k):
     assert schmidt_rank(state) == k + 1
 
 
+@pytest.mark.parametrize("k", list(range(1, 9)))
+def test_max_entropy_vector_is_the_normalized_power_of_sigma(k):
+    # sqrt(k+1) (1 - z w)^k = (-1)^k sigma^k in the frame z1 = w1 = 1; the
+    # error is relative to the sum of term moduli sqrt(k+1) (1 + |z w|)^k,
+    # since the value itself cancels to zero near the curve z w = 1
+    rng = np.random.default_rng(700 + k)
+    state = max_entropy_vector(k)
+    for _ in range(20):
+        z, w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        expected = math.sqrt(k + 1) * (1 - z * w) ** k
+        scale = math.sqrt(k + 1) * (1 + abs(z * w)) ** k
+        assert abs(evaluate_section(state, z, w) - expected) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("build", [near_product_vector, near_product_entropy])
+def test_near_product_rejects_level_zero(build):
+    with pytest.raises(ValueError, match="level k must be >= 1"):
+        build(0)
+
+
 def test_fourier_mode_accessor_bounds():
     r = restrict(bell_vector(2))
     with pytest.raises(IndexError):

@@ -10,10 +10,8 @@ import numpy as np
 import pytest
 
 from holoent import (
-    AsymptoticModel,
     SingularFit,
     asymptotic_mean_entropy,
-    cp1_model,
     entanglement_entropy,
     fit_tail,
     mc_mean_entropy,
@@ -61,6 +59,12 @@ def test_mc_estimate_is_deterministic():
 def test_mc_requires_minimum_samples():
     with pytest.raises(ValueError):
         mc_mean_entropy(1, 99, seed=0)
+
+
+@pytest.mark.parametrize("k", [-1, 0])
+def test_mc_rejects_levels_below_one(k):
+    with pytest.raises(ValueError, match="level k must be >= 1"):
+        mc_mean_entropy(k, 100, 0)
 
 
 def test_mc_blocks_reproduce_the_documented_sampler():
@@ -209,31 +213,35 @@ def test_page_mean_rejects_bad_dimension():
 
 
 def test_asymptotic_mean_entropy_values():
-    model = cp1_model()
-    assert asymptotic_mean_entropy(model, 10) == pytest.approx(math.log(10) - 0.3, abs=1e-14)
-    assert asymptotic_mean_entropy(model, 1) == pytest.approx(1.5, abs=1e-14)
-    flat = AsymptoticModel(m=2, beta=1.0, gamma=0.0)
-    assert asymptotic_mean_entropy(flat, 5) == pytest.approx(2 * math.log(5) - 0.5, abs=1e-14)
+    assert asymptotic_mean_entropy(10) == pytest.approx(math.log(11) - 0.5, abs=1e-14)
+    assert asymptotic_mean_entropy(1) == pytest.approx(math.log(2) - 0.5, abs=1e-14)
+    # the sphere-average asymptotic_prediction column at k = 1, 5, 10, 20
+    expected = [0.19315, 1.29176, 1.89790, 2.54452]
+    for k, value in zip((1, 5, 10, 20), expected):
+        assert asymptotic_mean_entropy(k) == pytest.approx(value, abs=5e-6)
+    with pytest.raises(ValueError, match="level k must be >= 1"):
+        asymptotic_mean_entropy(0)
 
 
-def test_model_validation():
-    with pytest.raises(ValueError):
-        AsymptoticModel(beta=0.0)
+@pytest.mark.parametrize("k", list(range(1, 65)) + [128, 256])
+def test_asymptotic_mean_entropy_is_below_the_exact_mean_by_the_page_term(k):
+    # page_mean(N) = ln N - 1/2 + 7/(12 N^2) - 11/(120 N^4) + ... with N = k + 1
+    gap = page_mean(k + 1) - asymptotic_mean_entropy(k)
+    assert 0.0 < gap <= 7.0 / (12.0 * (k + 1) ** 2)
 
 
 def test_fit_tail_recovers_its_own_model():
-    model = cp1_model()
-    pairs = [(k, asymptotic_mean_entropy(model, k)) for k in (8, 16, 32)]
+    # exact synthetic data ln k - 1/2 + 1/k lies in the span of the fit
+    pairs = [(k, math.log(k) - 0.5 + 1.0 / k) for k in (8, 16, 32)]
     c0, c1 = fit_tail(pairs)
     assert abs(c0 + 0.5) <= 1e-9
-    assert abs(c1 - 2.0) <= 1e-9
+    assert abs(c1 - 1.0) <= 1e-9
 
 
 def test_fit_tail_on_exact_oracle():
     pairs = [(k, page_mean(k + 1)) for k in (8, 16, 32, 64)]
     c0, c1 = fit_tail(pairs)
-    # constant term matches the expansion; the 1/k coefficient of the
-    # exact oracle sits near 1 and is reported alongside the model value 2
+    # constant term and 1/k coefficient match ln(k+1) - 1/2 = ln k - 1/2 + 1/k + ...
     assert abs(c0 + 0.5) <= 0.02
     assert 0.9 <= c1 <= 1.1
 

@@ -1,5 +1,6 @@
 """Basis normalization constants and exact monomial moments of the measure."""
 
+import decimal
 import math
 from fractions import Fraction
 
@@ -76,7 +77,7 @@ def test_norm_const_symmetry_exact():
 
 
 def test_norm_const_paths_agree_at_crossover():
-    # exact integer square root against the log-gamma evaluation at k = 40
+    # exact integer square root against an independent log-gamma evaluation at k = 40
     k = 40
     for j in range(k + 1):
         exact = basis_norm_const(k, j)
@@ -85,6 +86,28 @@ def test_norm_const_paths_agree_at_crossover():
         )
         assert abs(exact - via_lgamma) <= 1e-12 * exact
     assert np.isfinite(basis_norm_const(80, 40))
+
+
+def test_norm_const_bits_equal_the_float_square_root_up_to_level_40():
+    for k in range(1, 41):
+        for j in range(k + 1):
+            assert basis_norm_const(k, j) == math.sqrt((k + 1) * math.comb(k, j))
+
+
+@pytest.mark.parametrize("k", [41, 100, 516, 1500])
+def test_norm_const_within_one_ulp_of_the_decimal_square_root(k):
+    # at k = 1500 the integer under the root exceeds 2^1024
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        for j in range(k + 1):
+            ref = float(decimal.Decimal((k + 1) * math.comb(k, j)).sqrt())
+            assert abs(basis_norm_const(k, j) - ref) <= math.ulp(ref)
+
+
+def test_norm_const_beyond_the_float_range_is_a_domain_error():
+    assert np.isfinite(basis_norm_const(2042, 1021))
+    with pytest.raises(DomainError, match=r"k=2043"):
+        basis_norm_const(2043, 1021)
 
 
 def test_norm_const_index_errors():
