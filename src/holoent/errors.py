@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; argument errors are also ValueError/IndexError."""
 
 
 class HoloentError(Exception):
@@ -13,12 +13,12 @@ class NotNormalized(HoloentError):
     """Operation requires a unit-norm input."""
 
 
-class IndexOutOfRange(HoloentError):
-    """Basis index outside [0, k]."""
+class IndexOutOfRange(HoloentError, IndexError):
+    """Basis index outside [0, k], or Fourier mode outside [-k, k]."""
 
 
-class DomainError(HoloentError):
-    """Arguments outside the domain of a closed-form expression."""
+class DomainError(HoloentError, ValueError):
+    """Argument outside a function's domain, such as a level k that is not an integer >= 1."""
 
 
 class NotOrthonormal(HoloentError, ValueError):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, NotNormalized
+from .errors import DegenerateSpectrum, DomainError, NotNormalized
 from .states import (
     NORM_TOL,
     StateTensor,
@@ -68,9 +68,10 @@ class OptProblem:
         if not self.subspace:
             raise ValueError("subspace must be nonempty")
         object.__setattr__(self, "basis", orthonormal_rows(self.subspace))
-        positive = all(math.isfinite(x) and x > 0 for x in (self.step0, self.tol_grad))
-        if self.max_iters < 1 or self.restarts < 1 or not positive:
-            raise ValueError("invalid optimizer settings")
+        for name, least in (("max_iters", 1), ("restarts", 1), ("step0", 0), ("tol_grad", 0)):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= least and value > 0):
+                raise DomainError(f"invalid optimizer settings: {name}={value!r}")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .sections import _mode_weights
+from .errors import IndexOutOfRange
+from .sections import _check_level, _mode_weights
 from .states import StateTensor, frozen_complex
 
 
@@ -31,6 +32,7 @@ class LambdaRestriction:
     fourier: np.ndarray
 
     def __post_init__(self):
+        _check_level(self.k)
         f = frozen_complex(self.fourier)
         if f.shape != (2 * self.k + 1,):
             raise ValueError(f"need {2 * self.k + 1} Fourier modes, got {f.shape}")
@@ -38,7 +40,7 @@ class LambdaRestriction:
 
     def mode(self, d: int) -> complex:
         if not -self.k <= d <= self.k:
-            raise IndexError(f"mode {d} outside [-{self.k}, {self.k}]")
+            raise IndexOutOfRange(f"mode {d} outside [-{self.k}, {self.k}]")
         return complex(self.fourier[d + self.k])
 
     def rows(self) -> list[tuple[int, float, float]]:
@@ -100,8 +102,7 @@ def kernel_basis(k: int) -> list[StateTensor]:
     The states are read-only views into one (k^2, k+1, k+1) block, which
     is freed once no state of the basis is referenced.
     """
-    if k < 1:
-        raise ValueError("level k must be >= 1")
+    _check_level(k)
     weights = _mode_weights(k)
     stack = np.zeros((k * k, k + 1, k + 1), dtype=complex)
     start = 0
@@ -122,8 +123,7 @@ def diagonal_kernel_basis(k: int) -> list[StateTensor]:
     binomial vector inside the diagonal subspace: the d = 0 block of
     kernel_basis.
     """
-    if k < 1:
-        raise ValueError("level k must be >= 1")
+    _check_level(k)
     null = _orthocomplement(_mode_weights(k)[k])
     return [StateTensor.from_diagonal(k, null[:, c]) for c in range(null.shape[1])]
 
@@ -134,8 +134,7 @@ def near_product_vector(k: int) -> StateTensor:
     The diagonal coefficients are a_0 = -k/sqrt(1+k^2), a_1 = 1/sqrt(1+k^2);
     its entanglement entropy decays to zero as the level grows.
     """
-    if k < 1:
-        raise ValueError("level k must be >= 1")
+    _check_level(k)
     s = 1.0 / math.sqrt(1.0 + k * k)
     diag = np.zeros(k + 1, dtype=complex)
     diag[0] = -k * s
@@ -145,8 +144,7 @@ def near_product_vector(k: int) -> StateTensor:
 
 def near_product_entropy(k: int) -> float:
     """Closed-form entropy of near_product_vector(k)."""
-    if k < 1:
-        raise ValueError("level k must be >= 1")
+    _check_level(k)
     p = 1.0 / (1.0 + k * k)
     q = (k * k) / (1.0 + k * k)
     return -p * math.log(p) - q * math.log(q)
@@ -157,6 +155,7 @@ def bell_vector(k: int) -> StateTensor:
 
     (e_0 (x) e_0 - e_k (x) e_k)/sqrt(2); entropy ln 2 at every level.
     """
+    _check_level(k)
     diag = np.zeros(k + 1, dtype=complex)
     diag[0] = 1.0 / math.sqrt(2.0)
     diag[k] = -1.0 / math.sqrt(2.0)
@@ -175,5 +174,6 @@ def max_entropy_vector(k: int) -> StateTensor:
     sqrt(k+1) (1 - z w)^k, so it vanishes to order k on the curve
     {sigma = 0}, which contains the antidiagonal circle.
     """
+    _check_level(k)
     signs = np.where(np.arange(k + 1) % 2 == 0, 1.0, -1.0)
     return StateTensor.from_diagonal(k, signs / math.sqrt(k + 1.0))

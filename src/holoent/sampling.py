@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularFit
+from .errors import DomainError, SingularFit
+from .sections import _check_level
 from .states import StateTensor, entropy_from_squared_schmidt
 
 BLOCK_SIZE = 4096
@@ -51,6 +52,7 @@ class MCEstimate:
 
 def sample_uniform_state(k: int, rng: np.random.Generator) -> StateTensor:
     """One uniform unit state: normalized standard complex Gaussian coefficients."""
+    _check_level(k)
     x = rng.standard_normal((2, k + 1, k + 1))
     c = x[0] + 1j * x[1]
     return StateTensor(k, c / np.linalg.norm(c))
@@ -101,10 +103,9 @@ def mc_mean_entropy(k: int, n: int, seed: int) -> MCEstimate:
     holding one chunk of samples at a time; results are reduced in block
     order, so the estimate is bit-identical to running the blocks serially.
     """
-    if k < 1:
-        raise ValueError("level k must be >= 1")
+    _check_level(k)
     if n < 100:
-        raise ValueError("need at least 100 samples")
+        raise DomainError(f"need at least 100 samples, got n={n!r}")
     starts = range(0, n, BLOCK_SIZE)
 
     def block_entropies(block: int) -> np.ndarray:
@@ -143,7 +144,7 @@ def page_mean(d: int) -> float:
     then one correctly rounded division (2d p - (d-1) q) / (2d q).
     """
     if d < 1:
-        raise ValueError("dimension must be >= 1")
+        raise DomainError(f"dimension must be >= 1, got d={d!r}")
     p, q = _reciprocal_sum(d + 1, d * d + 1)
     return (2 * d * p - (d - 1) * q) / (2 * d * q)
 
@@ -156,8 +157,7 @@ def asymptotic_mean_entropy(k: int) -> float:
     Riemann-Roch, so its mean entropy is ln N - 1/2 + O(N^-2). The value
     lies below page_mean(k+1) by at most 7/(12 (k+1)^2).
     """
-    if k < 1:
-        raise ValueError("level k must be >= 1")
+    _check_level(k)
     return math.log(k + 1) - 0.5
 
 

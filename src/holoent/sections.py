@@ -17,21 +17,27 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError, IndexOutOfRange
 
-# Largest level whose weight table can be built: above it the integer
-# product binom(k,i) binom(k,j) under the square root exceeds the largest
-# float near i = j = k/2.
+# Largest level of the weight table. _exact_sqrt builds it up to k = 1029 and
+# the restriction norm (k+1) sqrt(binom(2k,k)) is finite up to k = 1016, but
+# the cap stays until restriction residuals are scale-aware.
 WEIGHT_LEVEL_MAX = 516
 
 
+def _check_level(k: int) -> None:
+    """DomainError naming k unless k is an integer >= 1; numpy integers pass, bool does not."""
+    if not isinstance(k, numbers.Integral) or isinstance(k, bool) or k < 1:
+        raise DomainError(f"level k must be >= 1 and an integer, got {k!r}")
+
+
 def _check_index(k: int, j: int) -> None:
-    if k < 1:
-        raise IndexOutOfRange(f"level k must be >= 1, got {k}")
+    _check_level(k)
     if not 0 <= j <= k:
         raise IndexOutOfRange(f"basis index {j} outside [0, {k}]")
 
@@ -79,13 +85,10 @@ def _mode_weights(k: int) -> tuple[np.ndarray, ...]:
     Raises
     ------
     DomainError
-        If k exceeds 516, where binom(k,i) binom(k,j) overflows a float.
+        If k exceeds WEIGHT_LEVEL_MAX = 516, which says why the cap stays there.
     """
     if k > WEIGHT_LEVEL_MAX:
-        raise DomainError(
-            f"binom(k,i) binom(k,j) overflows a float at k={k}; "
-            f"the largest supported level is {WEIGHT_LEVEL_MAX}"
-        )
+        raise DomainError(f"level k={k} is above the largest supported level {WEIGHT_LEVEL_MAX}")
     binoms = [math.comb(k, j) for j in range(k + 1)]
     half = []
     for d in range(k + 1):
@@ -118,6 +121,7 @@ def section_inner_product(k: int, i: int, j: int) -> float:
 
 def basis_values(k: int, z: complex) -> np.ndarray:
     """Vector of all basis section values (e_0(z), ..., e_k(z)) in the affine frame."""
+    _check_level(k)
     consts = np.array([basis_norm_const(k, j) for j in range(k + 1)])
     powers = np.power(complex(z), np.arange(k + 1))
     return consts * powers

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotNormalized, NotOrthonormal, ZeroState
+from .sections import _check_index, _check_level
 
 # Squared Schmidt values below this are treated as exact zeros when
 # evaluating -sum(p ln p); keeps machine noise out of the entropy.
@@ -49,8 +50,7 @@ class StateTensor:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("level k must be a positive integer")
+        _check_level(self.k)
         c = frozen_complex(self.coeffs)
         if c.shape != (self.k + 1, self.k + 1):
             raise ValueError(
@@ -64,7 +64,9 @@ class StateTensor:
 
     @classmethod
     def basis_element(cls, k: int, i: int, j: int) -> "StateTensor":
-        """Unit state e_i (x) e_j."""
+        """Unit state e_i (x) e_j; IndexOutOfRange unless both indices lie in [0, k]."""
+        _check_index(k, i)
+        _check_index(k, j)
         c = np.zeros((k + 1, k + 1), dtype=complex)
         c[i, j] = 1.0
         return cls(k, c)
@@ -94,22 +96,19 @@ class StateTensor:
         """Inverse of to_dict.
 
         Raises ValueError, naming the field at fault, unless the record is
-        a dict with fields "k", "re" and "im", its "k" is an integer (not
-        a bool) and its coefficients are finite matrices of numbers.
+        a dict with fields "k", "re" and "im", its "k" is a valid level and
+        its coefficients are finite matrices of numbers.
         """
         if not isinstance(record, dict):
             raise ValueError(f"state record must be a JSON object, got {type(record).__name__}")
         missing = [field for field in ("k", "re", "im") if field not in record]
         if missing:
             raise ValueError(f"state record is missing field {missing[0]!r}")
-        k = record["k"]
-        if not isinstance(k, int) or isinstance(k, bool):
-            raise ValueError(f"state level k must be an integer, got {k!r}")
         re = _coefficient_field(record, "re")
         im = _coefficient_field(record, "im")
         if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
             raise ValueError("state coefficients must be finite")
-        return cls(k, re + 1j * im)
+        return cls(record["k"], re + 1j * im)
 
 
 def _coefficient_field(record: dict, field: str) -> np.ndarray:

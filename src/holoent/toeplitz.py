@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
-from .sections import _mode_weights, monomial_integral
+from .sections import _check_level, _mode_weights, monomial_integral
 from .states import StateTensor, frozen_complex, orthonormal_rows
 
 
@@ -77,6 +77,7 @@ class ToeplitzMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
+        _check_level(self.k)
         m = frozen_complex(self.entries)
         dim = (self.k + 1) ** 2
         if m.shape != (dim, dim):
@@ -176,8 +177,7 @@ def toeplitz_matrix(symbol: SymbolExpr, k: int) -> ToeplitzMatrix:
         If a contributing term needs a divergent moment (the symbol decays
         too slowly for this level).
     """
-    if k < 1:
-        raise ValueError("level k must be >= 1")
+    _check_level(k)
     n = k + 1
     entries = np.zeros((n * n, n * n), dtype=complex)
     # entries[c*n + d, a*n + b] viewed as blocks[c, d, a, b]
@@ -199,7 +199,8 @@ def toeplitz_matrix(symbol: SymbolExpr, k: int) -> ToeplitzMatrix:
 def projection_matrix(basis: list[StateTensor], k: int | None = None) -> ToeplitzMatrix:
     """Orthogonal projection sum_v |v><v| onto the span of an orthonormal set.
 
-    The level must be given explicitly when the basis is empty.
+    The level must be given explicitly when the basis is empty
+    (DomainError otherwise).
 
     Raises
     ------
@@ -208,8 +209,7 @@ def projection_matrix(basis: list[StateTensor], k: int | None = None) -> Toeplit
         more than 1e-10.
     """
     if not basis:
-        if k is None:
-            raise ValueError("level k required for an empty basis")
+        _check_level(k)
         dim = (k + 1) ** 2
         return ToeplitzMatrix(k, np.zeros((dim, dim), dtype=complex))
     rows = orthonormal_rows(basis)

@@ -2,12 +2,14 @@
 
 import contextlib
 import math
+import re
 
 import numpy as np
 import pytest
 
 from holoent import (
     DegenerateSpectrum,
+    DomainError,
     NotNormalized,
     NotOrthonormal,
     OptProblem,
@@ -318,9 +320,14 @@ def test_problem_validation():
     {"step0": math.nan},
     {"step0": math.inf},
     {"step0": -1.0},
+    {"max_iters": 0},
+    {"restarts": 0},
 ])
 def test_problem_rejects_non_finite_or_non_positive_settings(settings):
     with pytest.raises(ValueError, match="invalid optimizer settings"):
+        OptProblem(subspace=tuple(diagonal_kernel_basis(2)), **settings)
+    [(name, value)] = settings.items()
+    with pytest.raises(DomainError, match=re.escape(f"{name}={value!r}")):
         OptProblem(subspace=tuple(diagonal_kernel_basis(2)), **settings)
 
 

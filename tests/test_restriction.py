@@ -8,6 +8,7 @@ import scipy.linalg
 import scipy.sparse
 
 from holoent import (
+    IndexOutOfRange,
     StateTensor,
     bell_vector,
     diagonal_kernel_basis,
@@ -390,3 +391,5 @@ def test_fourier_mode_accessor_bounds():
     r = restrict(bell_vector(2))
     with pytest.raises(IndexError):
         r.mode(3)
+    with pytest.raises(IndexOutOfRange, match=r"mode -3 outside \[-2, 2\]"):
+        r.mode(-3)

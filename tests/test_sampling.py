@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from holoent import (
+    DomainError,
     SingularFit,
     asymptotic_mean_entropy,
     entanglement_entropy,
@@ -57,7 +58,7 @@ def test_mc_estimate_is_deterministic():
 
 
 def test_mc_requires_minimum_samples():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="n=99"):
         mc_mean_entropy(1, 99, seed=0)
 
 
@@ -208,7 +209,7 @@ def test_page_mean_is_the_exact_fraction_correctly_rounded():
 
 
 def test_page_mean_rejects_bad_dimension():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="d=0"):
         page_mean(0)
 
 

@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,13 +10,28 @@ import pytest
 from scipy import integrate
 
 from holoent import (
+    HoloentError,
+    LambdaRestriction,
     StateTensor,
+    ToeplitzMatrix,
+    asymptotic_mean_entropy,
     basis_norm_const,
+    basis_values,
     bell_vector,
+    diagonal_kernel_basis,
     evaluate_section,
+    kernel_basis,
+    kernel_projection_symbol,
+    max_entropy_vector,
+    mc_mean_entropy,
+    near_product_entropy,
+    near_product_vector,
+    projection_matrix,
     restrict,
     monomial_integral,
+    sample_uniform_state,
     section_inner_product,
+    toeplitz_matrix,
 )
 from holoent.errors import DomainError, IndexOutOfRange
 from holoent.sections import WEIGHT_LEVEL_MAX, _mode_weights
@@ -115,6 +131,46 @@ def test_norm_const_index_errors():
         basis_norm_const(3, 4)
     with pytest.raises(IndexOutOfRange):
         basis_norm_const(3, -1)
+
+
+# every public entry that takes a level k, called with arguments that are
+# valid at k = 1, so only the level itself can be at fault
+LEVEL_ENTRIES = {
+    "StateTensor": lambda k: StateTensor(k, np.eye(2)),
+    "StateTensor.from_dict": lambda k: StateTensor.from_dict(
+        {"k": k, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}
+    ),
+    "ToeplitzMatrix": lambda k: ToeplitzMatrix(k, np.eye(4)),
+    "LambdaRestriction": lambda k: LambdaRestriction(k, np.ones(3)),
+    "kernel_basis": kernel_basis,
+    "diagonal_kernel_basis": diagonal_kernel_basis,
+    "near_product_vector": near_product_vector,
+    "near_product_entropy": near_product_entropy,
+    "bell_vector": bell_vector,
+    "max_entropy_vector": max_entropy_vector,
+    "sample_uniform_state": lambda k: sample_uniform_state(k, np.random.default_rng(0)),
+    "mc_mean_entropy": lambda k: mc_mean_entropy(k, 100, 0),
+    "asymptotic_mean_entropy": asymptotic_mean_entropy,
+    "toeplitz_matrix": lambda k: toeplitz_matrix(kernel_projection_symbol(), k),
+    "projection_matrix": lambda k: projection_matrix([], k),
+    "basis_norm_const": lambda k: basis_norm_const(k, 0),
+    "section_inner_product": lambda k: section_inner_product(k, 0, 0),
+    "basis_values": lambda k: basis_values(k, 0.5),
+}
+
+
+@pytest.mark.parametrize("entry", LEVEL_ENTRIES.values(), ids=LEVEL_ENTRIES.keys())
+@pytest.mark.parametrize("k", [0, -1, True, 2.5, None], ids=repr)
+def test_every_level_entry_rejects_a_non_level_naming_it(entry, k):
+    message = re.escape(f"level k must be >= 1 and an integer, got {k!r}")
+    with pytest.raises(DomainError, match=message + "$") as info:
+        entry(k)
+    assert isinstance(info.value, ValueError) and isinstance(info.value, HoloentError)
+
+
+@pytest.mark.parametrize("entry", LEVEL_ENTRIES.values(), ids=LEVEL_ENTRIES.keys())
+def test_every_level_entry_accepts_numpy_integers(entry):
+    entry(np.int64(1))
 
 
 def test_orthonormality_reconstruction():

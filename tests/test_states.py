@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from holoent import (
+    IndexOutOfRange,
     LambdaRestriction,
     NotNormalized,
     NotOrthonormal,
@@ -224,6 +225,14 @@ def test_state_validation():
         StateTensor(2, np.zeros((2, 2)))
     with pytest.raises(ValueError):
         StateTensor(0, np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize("i, j", [(-1, 0), (0, -1), (3, 0), (0, 3)])
+def test_basis_element_rejects_indices_outside_the_level(i, j):
+    # numpy would wrap -1 to the last index and give e_2 (x) e_0 for (-1, 0)
+    bad = i if not 0 <= i <= 2 else j
+    with pytest.raises(IndexOutOfRange, match=rf"basis index {bad} outside \[0, 2\]"):
+        StateTensor.basis_element(2, i, j)
 
 
 def test_coefficients_are_immutable():
