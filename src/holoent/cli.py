@@ -505,7 +505,7 @@ def main(argv=None) -> int:
         else:
             text = render_json(args.command, result)
         _emit(text, args.out)
-    except (HoloentError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (HoloentError, OSError, ValueError) as exc:
         print(f"holoent {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return result.get("exit_code", EXIT_OK)

@@ -18,6 +18,7 @@ without changing the reported optimum.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -68,9 +69,14 @@ class OptProblem:
         if not self.subspace:
             raise ValueError("subspace must be nonempty")
         object.__setattr__(self, "basis", orthonormal_rows(self.subspace))
-        for name, least in (("max_iters", 1), ("restarts", 1), ("step0", 0), ("tol_grad", 0)):
+        for name in ("max_iters", "restarts", "seed", "step0", "tol_grad"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value >= least and value > 0):
+            if name in ("step0", "tol_grad"):
+                valid = math.isfinite(value) and value > 0
+            else:  # integers, bool excluded; only the seed may be 0
+                integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+                valid = integral and value >= (0 if name == "seed" else 1)
+            if not valid:
                 raise DomainError(f"invalid optimizer settings: {name}={value!r}")
 
 

@@ -21,7 +21,7 @@ import scipy.linalg
 
 from .errors import IndexOutOfRange
 from .sections import _check_level, _mode_weights
-from .states import StateTensor, frozen_complex
+from .states import StateTensor, _freeze_field
 
 
 @dataclass(frozen=True)
@@ -32,11 +32,7 @@ class LambdaRestriction:
     fourier: np.ndarray
 
     def __post_init__(self):
-        _check_level(self.k)
-        f = frozen_complex(self.fourier)
-        if f.shape != (2 * self.k + 1,):
-            raise ValueError(f"need {2 * self.k + 1} Fourier modes, got {f.shape}")
-        object.__setattr__(self, "fourier", f)
+        _freeze_field(self, "fourier", lambda k: (2 * k + 1,))
 
     def mode(self, d: int) -> complex:
         if not -self.k <= d <= self.k:

@@ -23,17 +23,23 @@ ZERO_NORM_TOL = 1e-14
 ORTHONORMAL_TOL = 1e-10
 
 
-def frozen_complex(values) -> np.ndarray:
-    """Read-only complex array of the values.
+def _freeze_field(record, field: str, shape) -> None:
+    """Check a level-k record and freeze its array field in place.
 
-    A read-only complex ndarray is kept as given, so many states can be
-    views into one block; anything else is copied first.
+    DomainError unless record.k is a level, ValueError naming the field
+    unless the array has shape(k). A read-only complex ndarray is kept as
+    given (many records may be views into one block); anything else is copied.
     """
-    if isinstance(values, np.ndarray) and values.dtype == complex and not values.flags.writeable:
-        return values
-    m = np.array(values, dtype=complex)
-    m.setflags(write=False)
-    return m
+    _check_level(record.k)
+    a = getattr(record, field)
+    if not (isinstance(a, np.ndarray) and a.dtype == complex and not a.flags.writeable):
+        a = np.array(a, dtype=complex)
+        a.setflags(write=False)
+    if a.shape != shape(record.k):
+        raise ValueError(
+            f"{type(record).__name__}.{field} must have shape {shape(record.k)}, got {a.shape}"
+        )
+    object.__setattr__(record, field, a)
 
 
 @dataclass(frozen=True)
@@ -42,7 +48,7 @@ class StateTensor:
 
     Entry (i, j) multiplies the product basis element e_i (x) e_j of the
     two (k+1)-dimensional factors. Coefficients are stored as a read-only
-    complex array (see frozen_complex); instances are safe to share
+    complex array (see _freeze_field); instances are safe to share
     between threads.
     """
 
@@ -50,13 +56,7 @@ class StateTensor:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        _check_level(self.k)
-        c = frozen_complex(self.coeffs)
-        if c.shape != (self.k + 1, self.k + 1):
-            raise ValueError(
-                f"coefficient matrix must be {(self.k + 1, self.k + 1)}, got {c.shape}"
-            )
-        object.__setattr__(self, "coeffs", c)
+        _freeze_field(self, "coeffs", lambda k: (k + 1, k + 1))
 
     @property
     def dim(self) -> int:
@@ -74,6 +74,7 @@ class StateTensor:
     @classmethod
     def from_diagonal(cls, k: int, diag) -> "StateTensor":
         """State sum_j a_j e_j (x) e_j from the diagonal coefficients a."""
+        _check_level(k)
         a = np.asarray(diag, dtype=complex)
         if a.shape != (k + 1,):
             raise ValueError(f"need {k + 1} diagonal coefficients, got {a.shape}")
@@ -147,7 +148,7 @@ class ReducedDensity:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", frozen_complex(self.matrix))
+        _freeze_field(self, "matrix", lambda k: (k + 1, k + 1))
 
 
 def frobenius_norm(state: StateTensor) -> float:

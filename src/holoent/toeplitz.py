@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 from .sections import _check_level, _mode_weights, monomial_integral
-from .states import StateTensor, frozen_complex, orthonormal_rows
+from .states import StateTensor, _freeze_field, orthonormal_rows
 
 
 @dataclass(frozen=True)
@@ -70,19 +70,14 @@ class SymbolExpr:
 class ToeplitzMatrix:
     """Operator matrix in the product basis e_a (x) e_b, lexicographic in (a, b).
 
-    Entries are stored as a read-only complex array (see frozen_complex).
+    Entries are stored as a read-only complex array (see states._freeze_field).
     """
 
     k: int
     entries: np.ndarray
 
     def __post_init__(self):
-        _check_level(self.k)
-        m = frozen_complex(self.entries)
-        dim = (self.k + 1) ** 2
-        if m.shape != (dim, dim):
-            raise ValueError(f"entries must be {dim}x{dim}, got {m.shape}")
-        object.__setattr__(self, "entries", m)
+        _freeze_field(self, "entries", lambda k: ((k + 1) ** 2,) * 2)
 
     @property
     def dim(self) -> int:
@@ -135,7 +130,7 @@ def kernel_projection_symbol() -> SymbolExpr:
     )
 
 
-def _factor_diagonal(k: int, p: int, q: int, nu: int):
+def _factor_diagonal(weights, k: int, p: int, q: int, nu: int):
     """One-factor compression of z^p zbar^q / (1+|z|^2)^nu at level k.
 
     The factor maps e_a to a multiple of e_c with c = a + p - q, so its
@@ -143,7 +138,7 @@ def _factor_diagonal(k: int, p: int, q: int, nu: int):
     a - c = q - p. Requires |p - q| <= k, so that the diagonal is
     nonempty. Returns the source indices a, the targets c (both in
     [0, k]) and the entries (k+1) sqrt(binom(k,a) binom(k,c)) I(a+p, k+nu),
-    whose weights are the mode q - p vector of sections._mode_weights.
+    whose weights are entry q - p + k of the level-k table weights.
 
     Raises
     ------
@@ -157,7 +152,7 @@ def _factor_diagonal(k: int, p: int, q: int, nu: int):
             f"term needs moment ({a[-1] + p}, {k + nu}); symbol decays too slowly for k={k}"
         )
     moments = [float(monomial_integral(int(i) + p, k + nu)) for i in a]
-    return a, c, (k + 1) * _mode_weights(k)[q - p + k] * np.array(moments)
+    return a, c, (k + 1) * weights[q - p + k] * np.array(moments)
 
 
 def toeplitz_matrix(symbol: SymbolExpr, k: int) -> ToeplitzMatrix:
@@ -175,9 +170,10 @@ def toeplitz_matrix(symbol: SymbolExpr, k: int) -> ToeplitzMatrix:
     ------
     DomainError
         If a contributing term needs a divergent moment (the symbol decays
-        too slowly for this level).
+        too slowly for this level), or k is above the weight table's 516.
     """
     _check_level(k)
+    weights = _mode_weights(k)  # after the guard: the cached table takes True for 1
     n = k + 1
     entries = np.zeros((n * n, n * n), dtype=complex)
     # entries[c*n + d, a*n + b] viewed as blocks[c, d, a, b]
@@ -185,8 +181,8 @@ def toeplitz_matrix(symbol: SymbolExpr, k: int) -> ToeplitzMatrix:
     for t in symbol.terms:
         if abs(t.pz - t.qz) > k or abs(t.pw - t.qw) > k:
             continue  # the shift moves every basis index out of range
-        az, cz, vz = _factor_diagonal(k, t.pz, t.qz, t.nz)
-        aw, cw, vw = _factor_diagonal(k, t.pw, t.qw, t.nw)
+        az, cz, vz = _factor_diagonal(weights, k, t.pz, t.qz, t.nz)
+        aw, cw, vw = _factor_diagonal(weights, k, t.pw, t.qw, t.nw)
         # (a, b) -> (c, d) is one-to-one within a term, so += never collides
         coef = complex(t.coef)
         blocks[cz[:, None], cw[None, :], az[:, None], aw[None, :]] += coef * np.outer(vz, vw)

@@ -352,6 +352,7 @@ def test_output_path_that_cannot_be_opened_is_usage_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("text", [
+    '{"k": 1,',
     "[1]",
     '"x"',
     '{"k": null, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}',
@@ -384,6 +385,16 @@ def test_malformed_state_record_names_the_field(capsys, monkeypatch, text, field
     code, _, err = run_cli(capsys, "entropy", "--state", "-")
     assert code == 2
     assert field in err and err.count("\n") == 1
+
+
+def test_a_key_error_is_a_bug_not_a_usage_error(monkeypatch):
+    # no input path raises KeyError, so main lets one through instead of exiting 2
+    def broken(args):
+        raise KeyError("params")
+
+    monkeypatch.setitem(cli._COMMANDS, "bk-series", broken)
+    with pytest.raises(KeyError, match="params"):
+        main(["bk-series", "--k-max", "2"])
 
 
 def test_entropy_command_takes_one_svd(capsys, monkeypatch):

@@ -321,7 +321,12 @@ def test_problem_validation():
     {"step0": math.inf},
     {"step0": -1.0},
     {"max_iters": 0},
+    {"max_iters": 2.5},
     {"restarts": 0},
+    {"restarts": 1.5},
+    {"restarts": True},
+    {"seed": -1},
+    {"seed": 2.5},
 ])
 def test_problem_rejects_non_finite_or_non_positive_settings(settings):
     with pytest.raises(ValueError, match="invalid optimizer settings"):

@@ -12,6 +12,7 @@ from scipy import integrate
 from holoent import (
     HoloentError,
     LambdaRestriction,
+    ReducedDensity,
     StateTensor,
     ToeplitzMatrix,
     asymptotic_mean_entropy,
@@ -140,6 +141,8 @@ LEVEL_ENTRIES = {
     "StateTensor.from_dict": lambda k: StateTensor.from_dict(
         {"k": k, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}
     ),
+    "StateTensor.from_diagonal": lambda k: StateTensor.from_diagonal(k, [1, 0]),
+    "ReducedDensity": lambda k: ReducedDensity(k, np.eye(2)),
     "ToeplitzMatrix": lambda k: ToeplitzMatrix(k, np.eye(4)),
     "LambdaRestriction": lambda k: LambdaRestriction(k, np.ones(3)),
     "kernel_basis": kernel_basis,
@@ -230,3 +233,5 @@ def test_weight_table_above_the_largest_level_is_a_domain_error():
         _mode_weights(WEIGHT_LEVEL_MAX + 1)
     with pytest.raises(DomainError, match=r"k=517.*516"):
         restrict(bell_vector(WEIGHT_LEVEL_MAX + 1))
+    with pytest.raises(DomainError, match=r"k=517.*516"):
+        toeplitz_matrix(kernel_projection_symbol(), WEIGHT_LEVEL_MAX + 1)

@@ -1,6 +1,7 @@
 """Schmidt data, reduced density matrices and entropy of coefficient states."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from holoent import (
     NotOrthonormal,
     ReducedDensity,
     StateTensor,
+    ToeplitzMatrix,
     ZeroState,
     bell_vector,
     entanglement_entropy,
@@ -252,10 +254,16 @@ def test_state_freezes_a_copy_of_writeable_coeffs():
     assert StateTensor(2, frozen).coeffs is frozen
 
 
-@pytest.mark.parametrize("record, field, shape", [
+# each level-k record with its array field and that field's shape at k = 1
+LEVEL_RECORDS = pytest.mark.parametrize("record, field, shape", [
     (LambdaRestriction, "fourier", (3,)),
     (ReducedDensity, "matrix", (2, 2)),
-], ids=["LambdaRestriction", "ReducedDensity"])
+    (StateTensor, "coeffs", (2, 2)),
+    (ToeplitzMatrix, "entries", (4, 4)),
+], ids=["LambdaRestriction", "ReducedDensity", "StateTensor", "ToeplitzMatrix"])
+
+
+@LEVEL_RECORDS
 def test_records_freeze_a_copy_of_writeable_arrays(record, field, shape):
     given = np.ones(shape, dtype=complex)
     frozen = getattr(record(1, given), field)
@@ -266,6 +274,19 @@ def test_records_freeze_a_copy_of_writeable_arrays(record, field, shape):
         frozen[0] = 3.0
     given.setflags(write=False)
     assert getattr(record(1, given), field) is given
+
+
+@LEVEL_RECORDS
+def test_records_reject_an_array_of_the_wrong_shape_naming_the_field(record, field, shape):
+    wrong = shape + (1,)
+    message = f"{record.__name__}.{field} must have shape {shape}, got {wrong}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        record(1, np.ones(wrong))
+
+
+def test_from_diagonal_needs_one_coefficient_per_basis_index():
+    with pytest.raises(ValueError, match=re.escape("need 3 diagonal coefficients, got (2,)")):
+        StateTensor.from_diagonal(2, [1, 0])
 
 
 def test_json_roundtrip():
