@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotNormalized, NotOrthonormal, ZeroState
+from .errors import DomainError, NotNormalized, NotOrthonormal, ZeroState
 from .sections import _check_index, _check_level
 
 # Squared Schmidt values below this are treated as exact zeros when
@@ -170,22 +170,87 @@ def unit_norm(state: StateTensor) -> float:
     return nrm
 
 
-def orthonormal_rows(states) -> np.ndarray:
-    """Read-only (m, (k+1)^2) complex matrix whose rows are the flattened states.
+def _support_blocks(rows: np.ndarray):
+    """Support blocks of a row matrix, as (row indices, column indices) pairs.
+
+    A block is a connected component of the graph that links each row to
+    the columns where it is nonzero; different blocks share no column.
+    Rows and columns are one node set (columns numbered after the rows),
+    labelled by min-label propagation with pointer jumping. Indices are
+    ascending within a block; columns that no row touches are left out.
+    """
+    m = len(rows)
+    r, c = np.nonzero(rows != 0)
+    c += m
+    label = np.arange(m + rows.shape[1])
+    while True:
+        low = np.minimum(label[r], label[c])
+        new = label.copy()
+        np.minimum.at(new, r, low)
+        np.minimum.at(new, c, low)
+        while not np.array_equal(jumped := new[new], new):
+            new = jumped
+        if np.array_equal(new, label):
+            break
+        label = new
+    # a block's label is its smallest node, so a block holding a row has a label < m
+    touched = np.flatnonzero(label < m)
+    order = touched[np.argsort(label[touched], kind="stable")]
+    for nodes in np.split(order, np.flatnonzero(np.diff(label[order])) + 1):
+        split = np.searchsorted(nodes, m)
+        yield nodes[:split], nodes[split:] - m
+
+
+def _orthonormal_blocks(states, k: int):
+    """Rows of orthonormal_rows and, per support block, its columns and submatrix.
+
+    The Gram matrix of the rows is block diagonal over the support
+    blocks (entries between blocks are exactly 0), so it is checked one
+    block at a time.
 
     Raises
     ------
+    DomainError
+        If some state is not at level k.
     NotOrthonormal
         If the Gram matrix of the states deviates from the identity by
-        more than 1e-10.
+        more than 1e-10, or is not finite.
     """
+    levels = sorted({s.k for s in states})
+    if levels != [k]:
+        raise DomainError(f"basis states have levels {levels}, expected all at k={k}")
     rows = np.stack([s.coeffs.reshape(-1) for s in states])
-    gram = rows.conj() @ rows.T
-    defect = float(np.max(np.abs(gram - np.eye(len(rows)))))
-    if defect > ORTHONORMAL_TOL:
+    blocks = []
+    defects = [0.0]
+    for row_idx, col_idx in _support_blocks(rows):
+        block = rows[row_idx[:, None], col_idx]
+        gram = block.conj() @ block.T
+        defects.append(np.max(np.abs(gram - np.eye(len(block)))))
+        blocks.append((col_idx, block))
+    defect = float(np.max(defects))  # np.max, not max(): a NaN defect must survive
+    if not defect <= ORTHONORMAL_TOL:
         raise NotOrthonormal(f"basis Gram matrix deviates from identity by {defect:.3e}")
     rows.setflags(write=False)
-    return rows
+    return rows, blocks
+
+
+def orthonormal_rows(states) -> np.ndarray:
+    """Read-only (m, (k+1)^2) complex matrix whose rows are the flattened states.
+
+    The Gram matrix is checked one support block at a time (see
+    _orthonormal_blocks).
+
+    Raises
+    ------
+    DomainError
+        If the states are not all at one level.
+    NotOrthonormal
+        If the Gram matrix of the states deviates from the identity by
+        more than 1e-10, or is not finite.
+    """
+    if not states:
+        raise ValueError("an orthonormal set needs at least one state")
+    return _orthonormal_blocks(states, states[0].k)[0]
 
 
 def schmidt(state: StateTensor) -> SchmidtData:

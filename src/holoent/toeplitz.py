@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 from .sections import _check_level, _mode_weights, monomial_integral
-from .states import StateTensor, _freeze_field, orthonormal_rows
+from .states import StateTensor, _freeze_field, _orthonormal_blocks
 
 
 @dataclass(frozen=True)
@@ -195,18 +195,32 @@ def toeplitz_matrix(symbol: SymbolExpr, k: int) -> ToeplitzMatrix:
 def projection_matrix(basis: list[StateTensor], k: int | None = None) -> ToeplitzMatrix:
     """Orthogonal projection sum_v |v><v| onto the span of an orthonormal set.
 
+    The projection is built per support block of the basis (see
+    states._orthonormal_blocks): blocks share no coefficient, so P is the
+    sum of the blocks' products R_b^T conj(R_b), each scattered onto its
+    own columns. Every kernel_basis state sits on one diagonal i - j = d,
+    so that costs sum_d (k-|d|+1)^3 against (k+1)^6 for the dense
+    product; a dense basis is one block and takes the dense product.
+
     The level must be given explicitly when the basis is empty
     (DomainError otherwise).
 
     Raises
     ------
+    DomainError
+        If the basis states are not all at one level, or an explicit k
+        differs from it.
     NotOrthonormal
         If the Gram matrix of the basis deviates from the identity by
-        more than 1e-10.
+        more than 1e-10, or is not finite.
     """
-    if not basis:
-        _check_level(k)
-        dim = (k + 1) ** 2
-        return ToeplitzMatrix(k, np.zeros((dim, dim), dtype=complex))
-    rows = orthonormal_rows(basis)
-    return ToeplitzMatrix(basis[0].k, rows.T @ rows.conj())
+    if k is None and basis:
+        k = basis[0].k
+    _check_level(k)
+    blocks = _orthonormal_blocks(basis, k)[1] if basis else []
+    dim = (k + 1) ** 2
+    entries = np.zeros((dim, dim), dtype=complex)
+    for cols, block in blocks:
+        entries[cols[:, None], cols] = block.T @ block.conj()
+    entries.setflags(write=False)  # frozen here, so ToeplitzMatrix needs no copy
+    return ToeplitzMatrix(k, entries)

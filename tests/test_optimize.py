@@ -159,6 +159,19 @@ def test_gradient_rejects_non_orthonormal_subspace():
         entropy_and_gradient([skewed], np.array([1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.full((2, 2), np.nan), np.diag([np.nan, 0.0])])
+def test_problem_rejects_non_finite_subspace(bad):
+    with pytest.raises(NotOrthonormal, match="nan"):
+        OptProblem(subspace=(StateTensor(1, bad),))
+    with pytest.raises(NotOrthonormal, match="nan"):
+        entropy_and_gradient([StateTensor(1, bad)], np.array([1.0]))
+
+
+def test_problem_rejects_mixed_levels_naming_them():
+    with pytest.raises(DomainError, match=r"levels \[1, 2\]"):
+        OptProblem(subspace=(bell_vector(1), bell_vector(2)))
+
+
 def test_maximize_single_ray():
     result = maximize(OptProblem(subspace=(bell_vector(1),), seed=1))
     assert abs(result.best_value - math.log(2)) < 1e-12

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from holoent import (
+    DomainError,
     IndexOutOfRange,
     LambdaRestriction,
     NotNormalized,
@@ -333,3 +334,10 @@ def test_orthonormal_rows_rejects_skewed_basis_as_value_error():
         orthonormal_rows([skewed])
     with pytest.raises(ValueError):
         orthonormal_rows([bell_vector(1), bell_vector(1)])
+
+
+def test_orthonormal_rows_rejects_mixed_levels_and_an_empty_set():
+    with pytest.raises(DomainError, match=r"levels \[1, 3\]"):
+        orthonormal_rows([bell_vector(1), bell_vector(3)])
+    with pytest.raises(ValueError, match="at least one state"):
+        orthonormal_rows([])

@@ -11,6 +11,7 @@ from holoent import (
     SymbolTerm,
     ToeplitzMatrix,
     bell_vector,
+    diagonal_kernel_basis,
     evaluate_symbol,
     kernel_basis,
     kernel_projection_symbol,
@@ -19,6 +20,7 @@ from holoent import (
 )
 from holoent.errors import DomainError, NotOrthonormal
 from holoent.sections import basis_norm_const
+from holoent.states import _support_blocks
 
 EXPECTED_LEVEL1_COMPRESSION = np.array(
     [
@@ -258,6 +260,109 @@ def test_projection_matrix_rejects_non_orthonormal():
     tilted = StateTensor(1, bell_vector(1).coeffs * 0.9)
     with pytest.raises(NotOrthonormal):
         projection_matrix([tilted])
+
+
+def dense_projection(basis):
+    """The dense product R^T conj(R) that the per-block projection replaces."""
+    rows = np.stack([v.coeffs.reshape(-1) for v in basis])
+    return rows.T @ rows.conj()
+
+
+def assert_matches_dense(basis):
+    P = projection_matrix(basis).entries
+    assert not P.flags.writeable
+    assert np.max(np.abs(P - dense_projection(basis))) <= 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("k", list(range(1, 13)))
+def test_projection_matrix_of_kernel_matches_dense_product(k):
+    assert_matches_dense(kernel_basis(k))
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 30])
+def test_projection_matrix_of_diagonal_kernel_matches_dense_product(k):
+    assert_matches_dense(diagonal_kernel_basis(k))
+
+
+@pytest.mark.parametrize("k", [3, 20])
+def test_kernel_basis_has_one_support_block_per_nonempty_mode(k):
+    rows = np.stack([v.coeffs.reshape(-1) for v in kernel_basis(k)])
+    blocks = list(_support_blocks(rows))
+    # modes d = -k and k hold no kernel state; mode d holds k - |d| states
+    # on the k - |d| + 1 coefficients of its diagonal
+    assert [len(r) for r, _ in blocks] == [k - abs(d) for d in range(1 - k, k)]
+    assert [len(c) for _, c in blocks] == [k - abs(d) + 1 for d in range(1 - k, k)]
+
+
+def test_projection_matrix_of_dense_random_basis_is_one_block():
+    rng = np.random.default_rng(15)
+    k, m = 3, 6
+    n = (k + 1) ** 2
+    q, _ = np.linalg.qr(rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
+    basis = [StateTensor(k, col.reshape(k + 1, k + 1)) for col in q.T]
+    rows = np.stack([v.coeffs.reshape(-1) for v in basis])
+    [(row_idx, col_idx)] = _support_blocks(rows)
+    assert np.array_equal(row_idx, np.arange(m)) and np.array_equal(col_idx, np.arange(n))
+    P = projection_matrix(basis).entries
+    assert np.array_equal(P, dense_projection(basis))
+
+
+def partly_overlapping_basis():
+    """Level-2 orthonormal states whose supports chain 0-1, 0-1-2-3 and 2-3.
+
+    The first two listed states share no coefficient; only the third links
+    them into one block. A fourth state on coefficient 8 is a block of its
+    own, and coefficients 4-7 are touched by no state.
+    """
+    flat = np.zeros((4, 9), dtype=complex)
+    flat[0, [0, 1]] = [1 / np.sqrt(2), 1 / np.sqrt(2)]
+    flat[1, [2, 3]] = [1j / np.sqrt(2), -1j / np.sqrt(2)]
+    flat[2, [0, 1, 2, 3]] = [0.5, -0.5, 0.5, 0.5]
+    flat[3, 8] = -1.0
+    return [StateTensor(2, row.reshape(3, 3)) for row in flat]
+
+
+def test_support_blocks_merge_through_a_shared_state():
+    rows = np.stack([v.coeffs.reshape(-1) for v in partly_overlapping_basis()])
+    blocks = [(list(r), list(c)) for r, c in _support_blocks(rows)]
+    assert blocks == [([0, 1, 2], [0, 1, 2, 3]), ([3], [8])]
+
+
+def test_projection_matrix_of_partly_overlapping_basis_matches_dense_product():
+    basis = partly_overlapping_basis()
+    assert_matches_dense(basis)
+    P = projection_matrix(basis).entries
+    assert np.trace(P).real == pytest.approx(4.0, abs=1e-15)
+
+
+def test_projection_matrix_rejects_non_orthonormal_pair_inside_one_block():
+    good = partly_overlapping_basis()
+    skew = np.zeros(9, dtype=complex)
+    skew[[0, 1]] = [1.0, 0.9]
+    skew /= np.linalg.norm(skew)  # unit, but not orthogonal to the first state
+    basis = good[:1] + [StateTensor(2, skew.reshape(3, 3))] + good[3:]
+    with pytest.raises(NotOrthonormal, match="deviates from identity"):
+        projection_matrix(basis)
+
+
+@pytest.mark.parametrize("k", [2, 5])
+def test_projection_matrix_of_full_product_basis_is_exactly_identity(k):
+    full = [StateTensor.basis_element(k, i, j) for i in range(k + 1) for j in range(k + 1)]
+    assert np.array_equal(projection_matrix(full).entries, np.eye((k + 1) ** 2))
+
+
+@pytest.mark.parametrize("bad", [np.full((2, 2), np.nan), np.diag([np.nan, 0.0])])
+def test_projection_matrix_rejects_non_finite_coefficients(bad):
+    with pytest.raises(NotOrthonormal, match="nan"):
+        projection_matrix([StateTensor(1, bad)])
+
+
+def test_projection_matrix_rejects_mixed_levels_naming_them():
+    with pytest.raises(DomainError, match=r"levels \[1, 2\]"):
+        projection_matrix([bell_vector(1), bell_vector(2)])
+    with pytest.raises(DomainError, match=r"levels \[2\], expected all at k=3"):
+        projection_matrix(kernel_basis(2), k=3)
+    assert projection_matrix(kernel_basis(2), k=2).k == 2
 
 
 def test_matrix_freezes_a_copy_of_writeable_entries():
