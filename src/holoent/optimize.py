@@ -18,13 +18,13 @@ without changing the reported optimum.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateSpectrum, DomainError, NotNormalized
+from .sections import _is_integer
 from .states import (
     NORM_TOL,
     StateTensor,
@@ -74,8 +74,7 @@ class OptProblem:
             if name in ("step0", "tol_grad"):
                 valid = math.isfinite(value) and value > 0
             else:  # integers, bool excluded; only the seed may be 0
-                integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-                valid = integral and value >= (0 if name == "seed" else 1)
+                valid = _is_integer(value, 0 if name == "seed" else 1)
             if not valid:
                 raise DomainError(f"invalid optimizer settings: {name}={value!r}")
 
@@ -127,13 +126,14 @@ def entropy_and_gradient(subspace, coords):
     Raises
     ------
     NotNormalized
-        If the coordinate vector is not unit within 1e-10 (states.NORM_TOL).
+        If the coordinate vector is not unit within 1e-10 (states.NORM_TOL),
+        or its norm is NaN.
     NotOrthonormal
         If the subspace states are not orthonormal.
     """
     coords = np.asarray(coords, dtype=float)
     nrm = np.linalg.norm(coords)
-    if abs(nrm - 1.0) > NORM_TOL:
+    if not abs(nrm - 1.0) <= NORM_TOL:
         raise NotNormalized(f"coordinate norm is {nrm!r}")
     m = len(subspace)
     if coords.shape not in ((m,), (2 * m,)):
@@ -259,7 +259,8 @@ def critical_residual(state: StateTensor, support_tol: float = 1e-10) -> float:
     Raises
     ------
     NotNormalized
-        If the norm deviates from 1 by more than 1e-10 (see states.unit_norm).
+        If the norm deviates from 1 by more than 1e-10, or is NaN (see
+        states.unit_norm).
     """
     unit_norm(state)
     p = schmidt(state).alphas ** 2

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularFit
-from .sections import _check_level
+from .sections import _check_level, _is_integer
 from .states import StateTensor, entropy_from_squared_schmidt
 
 BLOCK_SIZE = 4096
@@ -102,10 +102,18 @@ def mc_mean_entropy(k: int, n: int, seed: int) -> MCEstimate:
     for k > 63, where each SVD already uses BLAS threads), each thread
     holding one chunk of samples at a time; results are reduced in block
     order, so the estimate is bit-identical to running the blocks serially.
+
+    Raises
+    ------
+    DomainError
+        Naming the argument, unless k >= 1, n >= 100 and seed >= 0 are
+        integers (bool excluded).
     """
     _check_level(k)
-    if n < 100:
-        raise DomainError(f"need at least 100 samples, got n={n!r}")
+    if not _is_integer(n, 100):
+        raise DomainError(f"sample count must be an integer >= 100, got n={n!r}")
+    if not _is_integer(seed, 0):
+        raise DomainError(f"seed must be an integer >= 0, got seed={seed!r}")
     starts = range(0, n, BLOCK_SIZE)
 
     def block_entropies(block: int) -> np.ndarray:
@@ -142,9 +150,14 @@ def page_mean(d: int) -> float:
     H(d^2) - H(d) - (d-1)/(2d) with H the harmonic numbers, evaluated in
     exact integer arithmetic: H(d^2) - H(d) = p/q by binary splitting,
     then one correctly rounded division (2d p - (d-1) q) / (2d q).
+
+    Raises
+    ------
+    DomainError
+        Naming d, unless d is an integer >= 1 (bool excluded).
     """
-    if d < 1:
-        raise DomainError(f"dimension must be >= 1, got d={d!r}")
+    if not _is_integer(d, 1):
+        raise DomainError(f"dimension must be an integer >= 1, got d={d!r}")
     p, q = _reciprocal_sum(d + 1, d * d + 1)
     return (2 * d * p - (d - 1) * q) / (2 * d * q)
 

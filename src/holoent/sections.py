@@ -30,9 +30,14 @@ from .errors import DomainError, IndexOutOfRange
 WEIGHT_LEVEL_MAX = 516
 
 
+def _is_integer(value, least: int) -> bool:
+    """True if value is an integer >= least; numpy integers pass, bool does not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
+
+
 def _check_level(k: int) -> None:
-    """DomainError naming k unless k is an integer >= 1; numpy integers pass, bool does not."""
-    if not isinstance(k, numbers.Integral) or isinstance(k, bool) or k < 1:
+    """DomainError naming k unless k is an integer >= 1 (see _is_integer)."""
+    if not _is_integer(k, 1):
         raise DomainError(f"level k must be >= 1 and an integer, got {k!r}")
 
 

@@ -162,51 +162,46 @@ def unit_norm(state: StateTensor) -> float:
     Raises
     ------
     NotNormalized
-        If the norm deviates from 1 by more than 1e-10.
+        If the norm deviates from 1 by more than 1e-10, or is NaN.
     """
     nrm = frobenius_norm(state)
-    if abs(nrm - 1.0) > NORM_TOL:
+    if not abs(nrm - 1.0) <= NORM_TOL:
         raise NotNormalized(f"state norm is {nrm!r}; normalize before computing entropy")
     return nrm
 
 
-def _support_blocks(rows: np.ndarray):
-    """Support blocks of a row matrix, as (row indices, column indices) pairs.
+def _mode_blocks(rows: np.ndarray, k: int):
+    """Blocks of a level-k row matrix, as (row indices, column indices) pairs.
 
-    A block is a connected component of the graph that links each row to
-    the columns where it is nonzero; different blocks share no column.
-    Rows and columns are one node set (columns numbered after the rows),
-    labelled by min-label propagation with pointer jumping. Indices are
-    ascending within a block; columns that no row touches are left out.
+    Column i(k+1) + j holds e_i (x) e_j, of mode d = i - j. Each row spans
+    the modes from its lowest to its highest nonzero coefficient (a zero
+    row spans them all); a block is a maximal run of rows whose ranges
+    chain-overlap, and its columns are every coefficient whose mode lies
+    in the run, so different blocks share no column. Blocks come in
+    ascending mode, with ascending indices.
     """
-    m = len(rows)
-    r, c = np.nonzero(rows != 0)
-    c += m
-    label = np.arange(m + rows.shape[1])
-    while True:
-        low = np.minimum(label[r], label[c])
-        new = label.copy()
-        np.minimum.at(new, r, low)
-        np.minimum.at(new, c, low)
-        while not np.array_equal(jumped := new[new], new):
-            new = jumped
-        if np.array_equal(new, label):
-            break
-        label = new
-    # a block's label is its smallest node, so a block holding a row has a label < m
-    touched = np.flatnonzero(label < m)
-    order = touched[np.argsort(label[touched], kind="stable")]
-    for nodes in np.split(order, np.flatnonzero(np.diff(label[order])) + 1):
-        split = np.searchsorted(nodes, m)
-        yield nodes[:split], nodes[split:] - m
+    i, j = np.divmod(np.arange((k + 1) ** 2), k + 1)
+    mode = i - j
+    by_mode = np.argsort(mode, kind="stable")
+    support = (rows != 0)[:, by_mode]
+    low = mode[by_mode[support.argmax(axis=1)]]
+    high = mode[by_mode[-1 - support[:, ::-1].argmax(axis=1)]]
+    order = np.argsort(low, kind="stable")
+    low, reach = low[order], np.maximum.accumulate(high[order])
+    bounds = [0, *(np.flatnonzero(low[1:] > reach[:-1]) + 1), len(order)]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        cols = np.flatnonzero((mode >= low[start]) & (mode <= reach[stop - 1]))
+        yield np.sort(order[start:stop]), cols
 
 
 def _orthonormal_blocks(states, k: int):
-    """Rows of orthonormal_rows and, per support block, its columns and submatrix.
+    """Rows of orthonormal_rows and, per mode block, its columns and submatrix.
 
-    The Gram matrix of the rows is block diagonal over the support
-    blocks (entries between blocks are exactly 0), so it is checked one
-    block at a time.
+    A block is a maximal run of states whose mode ranges [lowest i - j,
+    highest i - j] over their nonzero coefficients chain-overlap (see
+    _mode_blocks). States in different blocks share no coefficient, so
+    the Gram matrix is block diagonal (entries between blocks are exactly
+    0) and is checked one block at a time.
 
     Raises
     ------
@@ -222,7 +217,7 @@ def _orthonormal_blocks(states, k: int):
     rows = np.stack([s.coeffs.reshape(-1) for s in states])
     blocks = []
     defects = [0.0]
-    for row_idx, col_idx in _support_blocks(rows):
+    for row_idx, col_idx in _mode_blocks(rows, k):
         block = rows[row_idx[:, None], col_idx]
         gram = block.conj() @ block.T
         defects.append(np.max(np.abs(gram - np.eye(len(block)))))
@@ -237,7 +232,7 @@ def _orthonormal_blocks(states, k: int):
 def orthonormal_rows(states) -> np.ndarray:
     """Read-only (m, (k+1)^2) complex matrix whose rows are the flattened states.
 
-    The Gram matrix is checked one support block at a time (see
+    The Gram matrix is checked one mode block at a time (see
     _orthonormal_blocks).
 
     Raises
@@ -305,7 +300,7 @@ def entanglement_entropy(state: StateTensor) -> float:
     Raises
     ------
     NotNormalized
-        If the norm of the state deviates from 1 by more than 1e-10.
+        If the norm of the state deviates from 1 by more than 1e-10, or is NaN.
     """
     unit_norm(state)
     return schmidt(state).entropy()

@@ -19,13 +19,17 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
-from .sections import _check_level, _mode_weights, monomial_integral
+from .sections import _check_level, _is_integer, _mode_weights, monomial_integral
 from .states import StateTensor, _freeze_field, _orthonormal_blocks
 
 
 @dataclass(frozen=True)
 class SymbolTerm:
-    """One term coef * z^pz zbar^qz w^pw wbar^qw / ((1+|z|^2)^nz (1+|w|^2)^nw)."""
+    """One term coef * z^pz zbar^qz w^pw wbar^qw / ((1+|z|^2)^nz (1+|w|^2)^nw).
+
+    Each exponent is an integer >= 0 (numpy integers pass, bool does not);
+    anything else is a ValueError naming the field.
+    """
 
     coef: object
     pz: int = 0
@@ -37,8 +41,9 @@ class SymbolTerm:
 
     def __post_init__(self):
         for name in ("pz", "qz", "pw", "qw", "nz", "nw"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"exponent {name} must be nonnegative")
+            value = getattr(self, name)
+            if not _is_integer(value, 0):
+                raise ValueError(f"exponent {name} must be an integer >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -195,12 +200,15 @@ def toeplitz_matrix(symbol: SymbolExpr, k: int) -> ToeplitzMatrix:
 def projection_matrix(basis: list[StateTensor], k: int | None = None) -> ToeplitzMatrix:
     """Orthogonal projection sum_v |v><v| onto the span of an orthonormal set.
 
-    The projection is built per support block of the basis (see
-    states._orthonormal_blocks): blocks share no coefficient, so P is the
+    The projection is built per mode block of the basis (see
+    states._mode_blocks): each state spans the modes d = i - j from its
+    lowest to its highest nonzero coefficient, and a block is a maximal
+    run of states whose ranges chain-overlap, owning every coefficient
+    whose mode lies in the run. Blocks share no coefficient, so P is the
     sum of the blocks' products R_b^T conj(R_b), each scattered onto its
-    own columns. Every kernel_basis state sits on one diagonal i - j = d,
-    so that costs sum_d (k-|d|+1)^3 against (k+1)^6 for the dense
-    product; a dense basis is one block and takes the dense product.
+    own columns. Every kernel_basis state sits on one diagonal, so that
+    costs sum_d (k-|d|+1)^3 against (k+1)^6 for the dense product; a
+    dense basis spans every mode, is one block and takes the dense product.
 
     The level must be given explicitly when the basis is empty
     (DomainError otherwise).

@@ -87,6 +87,16 @@ def test_gradient_requires_unit_coords():
         entropy_and_gradient([bell_vector(1)], np.array([0.5]))
 
 
+def test_gradient_refuses_nan_coords():
+    with pytest.raises(NotNormalized, match="nan"):
+        entropy_and_gradient(diagonal_kernel_basis(3), [np.nan, 0.0, 0.0])
+
+
+def test_critical_residual_refuses_nan_state():
+    with pytest.raises(NotNormalized, match="nan"):
+        critical_residual(StateTensor(1, np.full((2, 2), np.nan)))
+
+
 @pytest.mark.parametrize("excess, raises", [(5e-9, True), (5e-11, False)])
 def test_gradient_and_certificate_share_one_unit_norm_tolerance(excess, raises):
     basis = diagonal_kernel_basis(3)

@@ -58,8 +58,12 @@ def test_mc_estimate_is_deterministic():
 
 
 def test_mc_requires_minimum_samples():
-    with pytest.raises(DomainError, match="n=99"):
-        mc_mean_entropy(1, 99, seed=0)
+    # the sample count and the seed are integers, bool excluded
+    for n, seed, match in [(99, 0, "n=99"), (1000.5, 0, "n=1000.5"), (True, 0, "n=True"),
+                           (1000, 2.5, "seed=2.5"), (1000, -1, "seed=-1"),
+                           (1000, True, "seed=True")]:
+        with pytest.raises(DomainError, match=match):
+            mc_mean_entropy(1, n, seed=seed)
 
 
 @pytest.mark.parametrize("k", [-1, 0])
@@ -209,8 +213,9 @@ def test_page_mean_is_the_exact_fraction_correctly_rounded():
 
 
 def test_page_mean_rejects_bad_dimension():
-    with pytest.raises(DomainError, match="d=0"):
-        page_mean(0)
+    for d in (0, 2.5, True, None):
+        with pytest.raises(DomainError, match=f"d={d!r}"):
+            page_mean(d)
 
 
 def test_asymptotic_mean_entropy_values():

@@ -26,7 +26,7 @@ from holoent import (
     schmidt,
     schmidt_rank,
 )
-from holoent.states import orthonormal_rows
+from holoent.states import orthonormal_rows, unit_norm
 
 
 def random_unit_state(k, rng):
@@ -166,6 +166,12 @@ def test_entropy_of_near_product_k2():
 def test_entropy_requires_unit_norm():
     with pytest.raises(NotNormalized):
         entanglement_entropy(StateTensor(1, 2 * bell_vector(1).coeffs))
+
+
+@pytest.mark.parametrize("entry", [unit_norm, entanglement_entropy])
+def test_nan_state_is_not_normalized(entry):
+    with pytest.raises(NotNormalized, match="nan"):
+        entry(StateTensor(1, np.full((2, 2), np.nan)))
 
 
 def test_schmidt_rank_examples():

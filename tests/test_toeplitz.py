@@ -20,7 +20,7 @@ from holoent import (
 )
 from holoent.errors import DomainError, NotOrthonormal
 from holoent.sections import basis_norm_const
-from holoent.states import _support_blocks
+from holoent.states import _mode_blocks
 
 EXPECTED_LEVEL1_COMPRESSION = np.array(
     [
@@ -206,6 +206,14 @@ def test_bounded_symbols_give_bounded_spectra(k):
     assert eigs.max() <= hi + 1e-9
 
 
+@pytest.mark.parametrize("bad", [0.5, True, None, -1, 2.0])
+@pytest.mark.parametrize("name", ["pz", "qz", "pw", "qw", "nz", "nw"])
+def test_symbol_term_exponents_must_be_integers(name, bad):
+    with pytest.raises(ValueError, match=f"exponent {name} must be an integer >= 0, got {bad!r}"):
+        SymbolTerm(1.0, **{name: bad})
+    assert getattr(SymbolTerm(1.0, **{name: np.int64(2)}), name) == 2
+
+
 def test_slowly_decaying_symbol_raises():
     with pytest.raises(DomainError):
         toeplitz_matrix(SymbolExpr(terms=(SymbolTerm(1.0, pz=1, qz=1),)), 2)
@@ -287,7 +295,7 @@ def test_projection_matrix_of_diagonal_kernel_matches_dense_product(k):
 @pytest.mark.parametrize("k", [3, 20])
 def test_kernel_basis_has_one_support_block_per_nonempty_mode(k):
     rows = np.stack([v.coeffs.reshape(-1) for v in kernel_basis(k)])
-    blocks = list(_support_blocks(rows))
+    blocks = list(_mode_blocks(rows, k))
     # modes d = -k and k hold no kernel state; mode d holds k - |d| states
     # on the k - |d| + 1 coefficients of its diagonal
     assert [len(r) for r, _ in blocks] == [k - abs(d) for d in range(1 - k, k)]
@@ -301,18 +309,24 @@ def test_projection_matrix_of_dense_random_basis_is_one_block():
     q, _ = np.linalg.qr(rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
     basis = [StateTensor(k, col.reshape(k + 1, k + 1)) for col in q.T]
     rows = np.stack([v.coeffs.reshape(-1) for v in basis])
-    [(row_idx, col_idx)] = _support_blocks(rows)
+    [(row_idx, col_idx)] = _mode_blocks(rows, k)
     assert np.array_equal(row_idx, np.arange(m)) and np.array_equal(col_idx, np.arange(n))
     P = projection_matrix(basis).entries
     assert np.array_equal(P, dense_projection(basis))
 
 
-def partly_overlapping_basis():
-    """Level-2 orthonormal states whose supports chain 0-1, 0-1-2-3 and 2-3.
+def flat_modes(k):
+    """Mode i - j of each flattened coefficient i (k+1) + j."""
+    return np.subtract.outer(np.arange(k + 1), np.arange(k + 1)).reshape(-1)
 
-    The first two listed states share no coefficient; only the third links
-    them into one block. A fourth state on coefficient 8 is a block of its
-    own, and coefficients 4-7 are touched by no state.
+
+def partly_overlapping_basis():
+    """Level-2 orthonormal states on coefficients 0-1, 2-3, 0-1-2-3 and 8.
+
+    Their mode ranges are [-1, 0], [-2, 1], [-2, 1] and [0, 0], so all four
+    are one block over the eight coefficients with d in [-2, 1]: every
+    coefficient but 6 (e_2 (x) e_0, mode 2). The fourth state shares no
+    coefficient with the others, and coefficients 4-7 are touched by none.
     """
     flat = np.zeros((4, 9), dtype=complex)
     flat[0, [0, 1]] = [1 / np.sqrt(2), 1 / np.sqrt(2)]
@@ -324,8 +338,43 @@ def partly_overlapping_basis():
 
 def test_support_blocks_merge_through_a_shared_state():
     rows = np.stack([v.coeffs.reshape(-1) for v in partly_overlapping_basis()])
-    blocks = [(list(r), list(c)) for r, c in _support_blocks(rows)]
-    assert blocks == [([0, 1, 2], [0, 1, 2, 3]), ([3], [8])]
+    blocks = [(list(r), list(c)) for r, c in _mode_blocks(rows, 2)]
+    assert blocks == [([0, 1, 2, 3], [0, 1, 2, 3, 4, 5, 7, 8])]
+
+
+def chain_basis():
+    """Level-3 orthonormal states on modes {0, 1}, {2, 3} and {1, 2}, in that order."""
+    flat = np.zeros((3, 16), dtype=complex)
+    flat[0, [0, 4]] = [1 / np.sqrt(2), 1 / np.sqrt(2)]  # e_0 e_0, e_1 e_0
+    flat[1, [8, 12]] = [1 / np.sqrt(2), -1 / np.sqrt(2)]  # e_2 e_0, e_3 e_0
+    flat[2, [9, 13]] = [0.6, 0.8j]  # e_2 e_1, e_3 e_1
+    return [StateTensor(3, row.reshape(4, 4)) for row in flat]
+
+
+def test_mode_blocks_merge_a_chain_of_overlapping_ranges():
+    basis = chain_basis()
+    rows = np.stack([v.coeffs.reshape(-1) for v in basis])
+    mode = flat_modes(3)
+    blocks = [(list(r), list(c)) for r, c in _mode_blocks(rows[:2], 3)]
+    assert blocks == [
+        ([0], list(np.flatnonzero((mode >= 0) & (mode <= 1)))),
+        ([1], list(np.flatnonzero(mode >= 2))),
+    ]
+    blocks = [(list(r), list(c)) for r, c in _mode_blocks(rows, 3)]
+    assert blocks == [([0, 1, 2], list(np.flatnonzero(mode >= 0)))]
+    assert_matches_dense(basis)
+
+
+def test_zero_state_spans_every_mode_and_is_refused():
+    zero = StateTensor(2, np.zeros((3, 3)))
+    basis = partly_overlapping_basis()[3:] + [zero]
+    rows = np.stack([v.coeffs.reshape(-1) for v in basis])
+    [(row_idx, col_idx)] = _mode_blocks(rows, 2)
+    assert list(row_idx) == [0, 1] and list(col_idx) == list(range(9))
+    with pytest.raises(NotOrthonormal, match="deviates from identity by 1.000e"):
+        projection_matrix(basis)
+    with pytest.raises(NotOrthonormal):
+        projection_matrix([zero])
 
 
 def test_projection_matrix_of_partly_overlapping_basis_matches_dense_product():
@@ -349,6 +398,12 @@ def test_projection_matrix_rejects_non_orthonormal_pair_inside_one_block():
 def test_projection_matrix_of_full_product_basis_is_exactly_identity(k):
     full = [StateTensor.basis_element(k, i, j) for i in range(k + 1) for j in range(k + 1)]
     assert np.array_equal(projection_matrix(full).entries, np.eye((k + 1) ** 2))
+    # one block per mode; row n is the basis element of coefficient n,
+    # so each block's rows and columns agree
+    rows = np.stack([v.coeffs.reshape(-1) for v in full])
+    mode = flat_modes(k)
+    blocks = [(list(r), list(c)) for r, c in _mode_blocks(rows, k)]
+    assert blocks == [(list(np.flatnonzero(mode == d)),) * 2 for d in range(-k, k + 1)]
 
 
 @pytest.mark.parametrize("bad", [np.full((2, 2), np.nan), np.diag([np.nan, 0.0])])
