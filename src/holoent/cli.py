@@ -23,7 +23,8 @@ write for their ``tolist()``.
 
 JSON output follows the schema shipped in schemas/output.schema.json.
 Float flags must be finite. Exit codes: 0 success, 2 usage or
-precondition violation, 3 numerical non-convergence.
+precondition violation, 3 a numerical check failed (``maximize`` did not
+converge, ``toeplitz-check`` read FAIL), and the result is still printed.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ _EMIT_CHUNK = 1 << 20
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_NO_CONVERGENCE = 3
+EXIT_CHECK_FAILED = 3
 
 
 def _checked(convert, accept, expected: str):
@@ -128,10 +129,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("maximize",
                        help="entropy maximization over the diagonal kernel subspace")
     p.add_argument("--k", type=_positive_int, required=True, help="section degree (level)")
-    p.add_argument("--restarts", type=_positive_int, default=16)
-    p.add_argument("--max-iters", type=_positive_int, default=1000)
-    p.add_argument("--step0", type=_positive_float, default=1.0)
-    p.add_argument("--tol", type=_positive_float, default=1e-8, help="gradient norm tolerance")
+    defaults = optimize.OptProblem
+    p.add_argument("--restarts", type=_positive_int, default=defaults.restarts)
+    p.add_argument("--max-iters", type=_positive_int, default=defaults.max_iters)
+    p.add_argument("--step0", type=_positive_float, default=defaults.step0)
+    p.add_argument("--tol", type=_positive_float, default=defaults.tol_grad,
+                   help="gradient norm tolerance")
     p.add_argument("--seed", type=_nonnegative_int, default=None,
                    help=f"RNG seed; defaults to ${SEED_ENV_VAR} if set, else 0")
     p.add_argument("--trace", action="store_true",
@@ -319,7 +322,7 @@ def cmd_maximize(args: argparse.Namespace) -> dict:
         "params": params,
         **_table([row]),
         "data": data,
-        "exit_code": EXIT_OK if result.converged else EXIT_NO_CONVERGENCE,
+        "exit_code": EXIT_OK if result.converged else EXIT_CHECK_FAILED,
     }
 
 
@@ -330,12 +333,13 @@ def cmd_toeplitz_check(args: argparse.Namespace) -> dict:
     compression = toeplitz.toeplitz_matrix(symbol, 1)
     projection = toeplitz.projection_matrix([restriction.bell_vector(1)])
     diff = float(np.max(np.abs(compression.entries - projection.entries)))
+    passed = diff <= args.tol
     params = {
         "k": 1,
         "offset": float(complex(symbol.offset).real),
         "tol": args.tol,
         "max_diff": diff,
-        "status": "PASS" if diff <= args.tol else "FAIL",
+        "status": "PASS" if passed else "FAIL",
     }
     data = {key: params[key] for key in ("k", "max_diff", "status")}
     return {
@@ -344,6 +348,7 @@ def cmd_toeplitz_check(args: argparse.Namespace) -> dict:
         "rows": _entry_rows({"toeplitz": compression.entries,
                              "projection": projection.entries}),
         "data": {**data, "toeplitz": compression, "projection": projection},
+        "exit_code": EXIT_OK if passed else EXIT_CHECK_FAILED,
     }
 
 

@@ -18,6 +18,7 @@ without changing the reported optimum.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -71,8 +72,9 @@ class OptProblem:
         object.__setattr__(self, "basis", orthonormal_rows(self.subspace))
         for name in ("max_iters", "restarts", "seed", "step0", "tol_grad"):
             value = getattr(self, name)
-            if name in ("step0", "tol_grad"):
-                valid = math.isfinite(value) and value > 0
+            if name in ("step0", "tol_grad"):  # real numbers, bool excluded
+                valid = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                         and math.isfinite(value) and value > 0)
             else:  # integers, bool excluded; only the seed may be 0
                 valid = _is_integer(value, 0 if name == "seed" else 1)
             if not valid:

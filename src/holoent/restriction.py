@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import IndexOutOfRange
-from .sections import _check_level, _mode_weights
+from .sections import _check_level, _is_integer, _mode_weights
 from .states import StateTensor, _freeze_field
 
 
@@ -35,8 +35,8 @@ class LambdaRestriction:
         _freeze_field(self, "fourier", lambda k: (2 * k + 1,))
 
     def mode(self, d: int) -> complex:
-        if not -self.k <= d <= self.k:
-            raise IndexOutOfRange(f"mode {d} outside [-{self.k}, {self.k}]")
+        if not (_is_integer(d, -self.k) and d <= self.k):
+            raise IndexOutOfRange(f"mode {d!r} outside [-{self.k}, {self.k}] or not an integer")
         return complex(self.fourier[d + self.k])
 
     def rows(self) -> list[tuple[int, float, float]]:
@@ -68,47 +68,48 @@ def restrict(state: StateTensor) -> LambdaRestriction:
     return LambdaRestriction(k, fourier)
 
 
-def _fix_column_signs(columns: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude entry of each column real positive."""
-    cols = columns.copy()
-    for c in range(cols.shape[1]):
-        pivot = int(np.argmax(np.abs(cols[:, c])))
-        if cols[pivot, c] < 0:
-            cols[:, c] = -cols[:, c]
-    return cols
-
-
 def _orthocomplement(weights: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the complement of a nonzero vector, as columns.
 
-    A single nonzero row has rank exactly 1, so the result always has
-    len(weights) - 1 columns; signs are fixed for reproducible output.
+    A single nonzero row has rank exactly 1, so there are len(weights) - 1
+    columns; each whose largest-magnitude entry is negative is flipped.
     """
-    return _fix_column_signs(scipy.linalg.null_space(weights[None, :]))
+    null = scipy.linalg.null_space(weights[None, :])
+    pivots = null[np.argmax(np.abs(null), axis=0), np.arange(null.shape[1])]
+    return null * np.sign(pivots)
+
+
+def _kernel_states(k: int, modes) -> list[StateTensor]:
+    """Kernel states of the given modes d, k - |d| per mode, listed mode by mode.
+
+    Mode d = i - j constrains only the coefficients on that diagonal, so
+    its kernel block is the orthocomplement of the weights
+    sqrt(binom(k,i) binom(k,i-d)) placed back on the diagonal. Modes d
+    and -d share one weight vector, so the orthocomplement is taken once
+    per |d|. The states are read-only views into one (count, k+1, k+1)
+    block, which is freed once no state of it is referenced.
+    """
+    weights = _mode_weights(k)
+    blocks = {a: _orthocomplement(weights[a + k]).T for a in {abs(d) for d in modes}}
+    stack = np.zeros((sum(k - abs(d) for d in modes), k + 1, k + 1), dtype=complex)
+    start = 0
+    for d in modes:
+        rows = np.arange(max(0, d), min(k, k + d) + 1)
+        block = blocks[abs(d)]
+        stack[start:start + len(block), rows, rows - d] = block
+        start += len(block)
+    stack.setflags(write=False)
+    return [StateTensor(k, c) for c in stack]
 
 
 def kernel_basis(k: int) -> list[StateTensor]:
     """Orthonormal basis of the restriction kernel, exactly k^2 elements.
 
-    Mode d = i - j constrains only the coefficients on that diagonal, so
-    its kernel block is the orthocomplement of the weights
-    sqrt(binom(k,i) binom(k,i-d)) placed back on the diagonal: k - |d|
-    states per mode. States are listed mode by mode, d = -k..k.
-
-    The states are read-only views into one (k^2, k+1, k+1) block, which
-    is freed once no state of the basis is referenced.
+    The k - |d| states of each mode d = -k..k, listed mode by mode, as
+    read-only views into one (k^2, k+1, k+1) block (see _kernel_states).
     """
     _check_level(k)
-    weights = _mode_weights(k)
-    stack = np.zeros((k * k, k + 1, k + 1), dtype=complex)
-    start = 0
-    for d in range(-k, k + 1):
-        rows = np.arange(max(0, d), min(k, k + d) + 1)
-        block = _orthocomplement(weights[d + k]).T
-        stack[start:start + len(block), rows, rows - d] = block
-        start += len(block)
-    stack.setflags(write=False)
-    return [StateTensor(k, c) for c in stack]
+    return _kernel_states(k, range(-k, k + 1))
 
 
 def diagonal_kernel_basis(k: int) -> list[StateTensor]:
@@ -116,12 +117,11 @@ def diagonal_kernel_basis(k: int) -> list[StateTensor]:
 
     Diagonal states sum_j a_j e_j (x) e_j lie in the kernel exactly when
     sum_j binom(k,j) a_j = 0, so this is the orthocomplement of the
-    binomial vector inside the diagonal subspace: the d = 0 block of
-    kernel_basis.
+    binomial vector inside the diagonal subspace: the d = 0 states of
+    kernel_basis, as read-only views into one (k, k+1, k+1) block.
     """
     _check_level(k)
-    null = _orthocomplement(_mode_weights(k)[k])
-    return [StateTensor.from_diagonal(k, null[:, c]) for c in range(null.shape[1])]
+    return _kernel_states(k, (0,))
 
 
 def near_product_vector(k: int) -> StateTensor:

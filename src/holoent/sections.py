@@ -42,9 +42,10 @@ def _check_level(k: int) -> None:
 
 
 def _check_index(k: int, j: int) -> None:
+    """IndexOutOfRange naming j unless j is an integer in [0, k] (see _is_integer)."""
     _check_level(k)
-    if not 0 <= j <= k:
-        raise IndexOutOfRange(f"basis index {j} outside [0, {k}]")
+    if not (_is_integer(j, 0) and j <= k):
+        raise IndexOutOfRange(f"basis index {j!r} outside [0, {k}] or not an integer")
 
 
 def basis_norm_const(k: int, j: int) -> float:

@@ -7,8 +7,11 @@ orthogonal projection onto the holomorphic subspace never has to be
 materialized: expanding against the basis realizes it implicitly.
 Every term is a product f(z) g(w), so its compression is the tensor
 product of two one-factor compressions, and each of those is a single
-shifted diagonal of length at most k+1. Moments and basis weights are
-exact; each factor entry is rounded once.
+shifted diagonal of length at most k+1. Moments and binomial products
+are exact rationals and integers, but each factor entry multiplies a
+rounded moment by a rounded square-root weight, so it is within a few
+ulps of its exact value (at most 3 for k <= 20) and correctly rounded at
+k = 1.
 """
 
 from __future__ import annotations
@@ -167,9 +170,10 @@ def toeplitz_matrix(symbol: SymbolExpr, k: int) -> ToeplitzMatrix:
     Each term is a product f(z) g(w), so its compression is the tensor
     product of two one-factor compressions, each a single shifted
     diagonal (angular-momentum conservation: c = a + pz - qz,
-    d = b + pw - qw). Moments and weights are exact; each factor entry
-    is one rounded product, so the result is bit-identical to the exact
-    value at k = 1 and within a few ulps of it above.
+    d = b + pw - qw). Each factor entry is (k+1) times a rounded
+    square-root weight times a rounded moment, so it is correctly rounded
+    at k = 1 and within a few ulps of its exact value above (at most 3
+    for k <= 20).
 
     Raises
     ------

@@ -183,7 +183,7 @@ def test_toeplitz_check_passes_by_default(capsys):
 
 def test_toeplitz_check_detects_shifted_offset(capsys):
     code, out, _ = run_cli(capsys, "toeplitz-check", "--offset", "-1.9")
-    assert code == 0
+    assert code == 3  # the check failed; its result is still printed
     comments, _, _ = parse_csv(out)
     assert comments["status"] == "FAIL"
     assert float(comments["max_diff"]) == pytest.approx(0.1, abs=1e-12)
@@ -512,6 +512,8 @@ GOLDEN_CASES = {
     "toeplitz_check_offset": ("toeplitz-check", "--offset", "-1.9"),
     "entropy_restriction": ("entropy", "--state", "-", "--restriction"),
 }
+# a failed check exits 3 and still prints its result
+GOLDEN_EXIT_CODES = {"toeplitz_check_offset": 3}
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -519,7 +521,7 @@ GOLDEN_CASES = {
 def test_output_matches_golden_bytes(capsys, monkeypatch, name, fmt):
     monkeypatch.setattr("sys.stdin", io.StringIO((GOLDEN / "state_k2.json").read_text()))
     code, out, _ = run_cli(capsys, *GOLDEN_CASES[name], "--format", fmt)
-    assert code == 0
+    assert code == GOLDEN_EXIT_CODES.get(name, 0)
     assert out.encode() == (GOLDEN / f"{name}.{fmt}").read_bytes()
 
 

@@ -350,6 +350,11 @@ def test_problem_validation():
     {"restarts": True},
     {"seed": -1},
     {"seed": 2.5},
+    # not real numbers: math.isfinite raised a bare TypeError, or took True as 1.0
+    {"step0": "1"},
+    {"step0": True},
+    {"tol_grad": None},
+    {"tol_grad": 1e-8 + 0j},
 ])
 def test_problem_rejects_non_finite_or_non_positive_settings(settings):
     with pytest.raises(ValueError, match="invalid optimizer settings"):

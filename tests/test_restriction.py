@@ -184,13 +184,30 @@ def test_kernel_basis_zero_mode_block_is_diagonal_kernel_basis(k):
         assert np.array_equal(a.coeffs, b.coeffs)
 
 
-@pytest.mark.parametrize("k", [1, 4, 30])
-def test_kernel_basis_states_are_views_of_one_read_only_block(k):
-    basis = kernel_basis(k)
+@pytest.mark.parametrize("build, k", [
+    *[pytest.param(kernel_basis, k, id=str(k)) for k in (1, 4, 30)],
+    *[pytest.param(diagonal_kernel_basis, k, id=f"diagonal-{k}") for k in (1, 4, 30)],
+])
+def test_kernel_basis_states_are_views_of_one_read_only_block(build, k):
+    basis = build(k)
     block = basis[0].coeffs.base
-    assert block.shape == (k * k, k + 1, k + 1) and not block.flags.writeable
+    count = k * k if build is kernel_basis else k
+    assert block.shape == (count, k + 1, k + 1) and not block.flags.writeable
     assert all(v.coeffs.base is block for v in basis)
     assert np.array_equal(np.stack([v.coeffs for v in basis]), block)
+
+
+@pytest.mark.parametrize("k", [1, 2, 7])
+def test_null_space_is_solved_once_per_absolute_mode(monkeypatch, k):
+    # modes d and -d share one weight vector, hence one solve
+    calls = []
+    solve = scipy.linalg.null_space
+    monkeypatch.setattr(scipy.linalg, "null_space", lambda a: calls.append(a) or solve(a))
+    kernel_basis(k)
+    assert len(calls) == k + 1
+    calls.clear()
+    diagonal_kernel_basis(k)
+    assert len(calls) == 1
 
 
 def test_kernel_basis_rejects_level_zero():
@@ -393,3 +410,7 @@ def test_fourier_mode_accessor_bounds():
         r.mode(3)
     with pytest.raises(IndexOutOfRange, match=r"mode -3 outside \[-2, 2\]"):
         r.mode(-3)
+    # True would read as mode 1, and 1.5 fail as numpy's bare IndexError
+    for bad in (True, 1.5):
+        with pytest.raises(IndexOutOfRange, match=rf"mode {bad} outside \[-2, 2\]"):
+            r.mode(bad)

@@ -132,6 +132,10 @@ def test_norm_const_index_errors():
         basis_norm_const(3, 4)
     with pytest.raises(IndexOutOfRange):
         basis_norm_const(3, -1)
+    # True would read as 1, and 1.5 reach math.comb as a TypeError
+    for bad in (True, 1.5):
+        with pytest.raises(IndexOutOfRange, match=rf"basis index {bad} outside \[0, 2\]"):
+            basis_norm_const(2, bad)
 
 
 # every public entry that takes a level k, called with arguments that are

@@ -236,10 +236,12 @@ def test_state_validation():
         StateTensor(0, np.zeros((1, 1)))
 
 
-@pytest.mark.parametrize("i, j", [(-1, 0), (0, -1), (3, 0), (0, 3)])
+@pytest.mark.parametrize("i, j", [(-1, 0), (0, -1), (3, 0), (0, 3), (True, 0), (0, 1.5)])
 def test_basis_element_rejects_indices_outside_the_level(i, j):
-    # numpy would wrap -1 to the last index and give e_2 (x) e_0 for (-1, 0)
-    bad = i if not 0 <= i <= 2 else j
+    # numpy would wrap -1 to the last index and give e_2 (x) e_0 for (-1, 0),
+    # read True as a mask that sets all of row 0, and fail on 1.5 with a
+    # bare IndexError
+    bad = i if isinstance(i, bool) or not 0 <= i <= 2 else j
     with pytest.raises(IndexOutOfRange, match=rf"basis index {bad} outside \[0, 2\]"):
         StateTensor.basis_element(2, i, j)
 

@@ -1,5 +1,7 @@
 """Matrix elements of rational-monomial multipliers and the kernel projection."""
 
+import decimal
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -19,8 +21,9 @@ from holoent import (
     toeplitz_matrix,
 )
 from holoent.errors import DomainError, NotOrthonormal
-from holoent.sections import basis_norm_const
+from holoent.sections import _mode_weights, basis_norm_const
 from holoent.states import _mode_blocks
+from holoent.toeplitz import _factor_diagonal
 
 EXPECTED_LEVEL1_COMPRESSION = np.array(
     [
@@ -236,6 +239,34 @@ def test_product_symbol_is_product_of_factor_compressions(k):
     T = toeplitz_matrix(product, k).entries
     factored = toeplitz_matrix(fz, k).entries @ toeplitz_matrix(gw, k).entries
     assert np.max(np.abs(T - factored)) <= 1e-12 * np.max(np.abs(factored))
+
+
+def _exact_factor_entry(k, a, c, p, nu):
+    """(k+1) sqrt(binom(k,a) binom(k,c)) I(a+p, k+nu) to 60 digits."""
+    with decimal.localcontext(decimal.Context(prec=60)):
+        n = k + nu
+        weight = decimal.Decimal(math.comb(k, a) * math.comb(k, c)).sqrt()
+        return (k + 1) * weight / ((n + 1) * math.comb(n, a + p))
+
+
+@pytest.mark.parametrize("k", list(range(1, 21)))
+def test_factor_entries_lie_within_three_ulps_of_the_exact_value(k):
+    # each entry multiplies a rounded moment by a rounded square-root
+    # weight, so it is not correctly rounded in general (2.02 ulps at
+    # worst for k <= 20 on the exponents below); at k = 1 it is
+    exponents = [(t.pz, t.qz, t.nz) for t in kernel_projection_symbol().terms]
+    exponents += [(p, q, nu) for p in range(3) for q in range(3) for nu in range(p + 1, 4)]
+    for p, q, nu in exponents:
+        if abs(p - q) > k:
+            continue  # no entries: toeplitz_matrix skips such a term
+        a, c, values = _factor_diagonal(_mode_weights(k), k, p, q, nu)
+        for ai, ci, value in zip(a.tolist(), c.tolist(), values.tolist()):
+            exact = _exact_factor_entry(k, ai, ci, p, nu)
+            if k == 1:
+                assert value == float(exact)
+            else:
+                error = abs(decimal.Decimal(value) - exact) / decimal.Decimal(math.ulp(float(exact)))
+                assert error <= 3, (p, q, nu, ai, float(error))
 
 
 def test_projection_symbol_hermitian_at_level_40():
