@@ -3,8 +3,9 @@
 States live in the tensor product of two copies of the space of degree-k
 holomorphic sections; the package computes their Schmidt data and
 entropy, the kernel of restriction to the antidiagonal circle together
-with its distinguished extremal states, Toeplitz compressions of
-rational-monomial symbols, and Monte-Carlo sphere averages of entropy.
+with its distinguished states (one attains the maximal entropy ln(k+1)),
+Toeplitz compressions of rational-monomial symbols, and Monte-Carlo
+sphere averages of entropy.
 """
 
 from .errors import (

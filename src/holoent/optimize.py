@@ -18,14 +18,13 @@ without changing the reported optimum.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateSpectrum, DomainError, NotNormalized
-from .sections import _is_integer
+from .sections import _is_integer, _is_positive_real
 from .states import (
     NORM_TOL,
     StateTensor,
@@ -67,16 +66,12 @@ class OptProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "subspace", tuple(self.subspace))
-        if not self.subspace:
-            raise ValueError("subspace must be nonempty")
         object.__setattr__(self, "basis", orthonormal_rows(self.subspace))
         for name in ("max_iters", "restarts", "seed", "step0", "tol_grad"):
             value = getattr(self, name)
-            if name in ("step0", "tol_grad"):  # real numbers, bool excluded
-                valid = (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                         and math.isfinite(value) and value > 0)
-            else:  # integers, bool excluded; only the seed may be 0
-                valid = _is_integer(value, 0 if name == "seed" else 1)
+            # only the seed may be 0
+            valid = (_is_positive_real(value) if name in ("step0", "tol_grad")
+                     else _is_integer(value, 0 if name == "seed" else 1))
             if not valid:
                 raise DomainError(f"invalid optimizer settings: {name}={value!r}")
 
@@ -149,36 +144,35 @@ def entropy_and_gradient(subspace, coords):
 def _ascend(basis, u0, max_iters, step0, tol_grad):
     """Run one ascent from u0; returns (u, history, grad_norm, iterations, converged).
 
-    ``history`` holds the value of every accepted iterate. ``u`` is the
-    last iterate when the ascent converged and the best one seen (the
-    latest of equals) otherwise, since the nonmonotone search may have
-    moved below it; ``grad_norm`` is the gradient norm at ``u``.
+    ``history`` holds the value of every accepted iterate, the start
+    first, so ``iterations`` is len(history) - 1. ``u`` is the last
+    iterate when the ascent converged and the best one seen (the latest
+    of equals) otherwise, since the nonmonotone search may have moved
+    below it; ``grad_norm`` is the gradient norm at ``u``.
     """
     u = u0
     f, g = _value_and_gradient(basis, u)
     history = [f]
     best = (f, u, g)
-    iterations = 0
     trial = step0
     # Zhang-Hager reference C, the q-weighted average of accepted values
     ref, q = f, 1.0
-    for _ in range(max_iters):
+    while True:
         gnorm = float(np.linalg.norm(g))
         if gnorm <= tol_grad:
-            return u, history, gnorm, iterations, True
+            return u, history, gnorm, len(history) - 1, True
+        if len(history) > max_iters:  # iteration cap
+            break
         step = trial
-        accepted = False
         for _ in range(MAX_BACKTRACKS):
             cand = u + step * g
             cand = cand / np.linalg.norm(cand)
             f_new, g_new = _value_and_gradient(basis, cand)
             if f_new >= ref + ARMIJO_C * step * gnorm * gnorm:
-                accepted = True
                 break
             step *= ARMIJO_SHRINK
-        if not accepted:
-            # stalled at numerical precision
-            break
+        else:
+            break  # stalled at numerical precision
         # Barzilai-Borwein trial step for the next iteration; the Armijo
         # backtracking above keeps every value at or above the reference.
         du = cand - u
@@ -193,14 +187,10 @@ def _ascend(basis, u0, max_iters, step0, tol_grad):
         q_new = REFERENCE_DECAY * q + 1.0
         ref, q = (REFERENCE_DECAY * q * ref + f_new) / q_new, q_new
         history.append(f_new)
-        iterations += 1
         if f_new >= best[0]:
             best = (f_new, u, g)
-    gnorm = float(np.linalg.norm(g))
-    if gnorm <= tol_grad:
-        return u, history, gnorm, iterations, True
     _, u, g = best
-    return u, history, float(np.linalg.norm(g)), iterations, False
+    return u, history, float(np.linalg.norm(g)), len(history) - 1, False
 
 
 def maximize(problem: OptProblem) -> OptResult:
@@ -219,9 +209,7 @@ def maximize(problem: OptProblem) -> OptResult:
     """
     basis = problem.basis
     m = len(basis)
-    best = None
-    restart_values = []
-    any_converged = False
+    records = []  # (value, u, grad_norm, iterations, converged) per restart
     for r in range(problem.restarts):
         rng = np.random.default_rng(problem.seed + r)
         x = rng.standard_normal(2 * m)
@@ -229,12 +217,9 @@ def maximize(problem: OptProblem) -> OptResult:
         u, history, gnorm, iters, converged = _ascend(
             basis, x[:m] + 1j * x[m:], problem.max_iters, problem.step0, problem.tol_grad
         )
-        value = history[-1] if converged else max(history)
-        restart_values.append(value)
-        any_converged = any_converged or converged
-        if best is None or value > best[0]:
-            best = (value, u, gnorm, iters)
-    value, u, gnorm, iters = best
+        records.append((history[-1] if converged else max(history), u, gnorm, iters, converged))
+    # max keeps the first of equal values
+    value, u, gnorm, iters, _ = max(records, key=lambda record: record[0])
     coeffs = u @ basis
     k = problem.subspace[0].k
     state = StateTensor(k, (coeffs / np.linalg.norm(coeffs)).reshape(k + 1, k + 1))
@@ -244,8 +229,8 @@ def maximize(problem: OptProblem) -> OptResult:
         grad_norm=gnorm,
         iterations=iters,
         critical_residual=critical_residual(state),
-        converged=any_converged,
-        restart_values=tuple(restart_values),
+        converged=any(record[4] for record in records),
+        restart_values=tuple(record[0] for record in records),
     )
 
 
@@ -260,11 +245,18 @@ def critical_residual(state: StateTensor, support_tol: float = 1e-10) -> float:
 
     Raises
     ------
+    DomainError
+        If support_tol is not a finite real number > 0 (bool excluded), or
+        no squared coefficient reaches it.
     NotNormalized
         If the norm deviates from 1 by more than 1e-10, or is NaN (see
         states.unit_norm).
     """
+    if not _is_positive_real(support_tol):
+        raise DomainError(f"support_tol must be a finite real number > 0, got {support_tol!r}")
     unit_norm(state)
     p = schmidt(state).alphas ** 2
     p = p[p >= support_tol]
+    if not p.size:
+        raise DomainError(f"no squared Schmidt coefficient reaches support_tol={support_tol!r}")
     return float(p[0] - p[-1])

@@ -125,10 +125,12 @@ def diagonal_kernel_basis(k: int) -> list[StateTensor]:
 
 
 def near_product_vector(k: int) -> StateTensor:
-    """Unit kernel state on modes 0 and 1 that tends to a product state.
+    """Unit diagonal kernel state that tends to a product state.
 
-    The diagonal coefficients are a_0 = -k/sqrt(1+k^2), a_1 = 1/sqrt(1+k^2);
-    its entanglement entropy decays to zero as the level grows.
+    Its coefficients sit on e_0 (x) e_0 and e_1 (x) e_1, basis indices 0
+    and 1, both in mode d = 0: a_0 = -k/sqrt(1+k^2), a_1 = 1/sqrt(1+k^2).
+    Its entanglement entropy decays to zero as the level grows, but it is
+    one explicit sequence, not the least entangled kernel state.
     """
     _check_level(k)
     s = 1.0 / math.sqrt(1.0 + k * k)
@@ -159,7 +161,7 @@ def bell_vector(k: int) -> StateTensor:
 
 
 def max_entropy_vector(k: int) -> StateTensor:
-    """Diagonal kernel state of extremal entropy at every level.
+    """Diagonal kernel state of maximal entropy ln(k+1) at every level.
 
     a_j = (-1)^j / sqrt(k+1): the alternating signs cancel against the
     binomial weights because sum_j (-1)^j binom(k,j) = 0, and the equal

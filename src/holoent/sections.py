@@ -15,6 +15,7 @@ per level and shared by the restriction and Toeplitz layers.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import numbers
@@ -33,6 +34,21 @@ WEIGHT_LEVEL_MAX = 516
 def _is_integer(value, least: int) -> bool:
     """True if value is an integer >= least; numpy integers pass, bool does not."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
+
+
+def _is_finite_number(value) -> bool:
+    """True if value is a finite real or complex number; numpy numbers pass, bool does not."""
+    if not isinstance(value, numbers.Number) or isinstance(value, bool):
+        return False
+    try:
+        return cmath.isfinite(complex(value))
+    except OverflowError:  # an exact rational or integer beyond the float range
+        return False
+
+
+def _is_positive_real(value) -> bool:
+    """True if value is a finite real number > 0 (see _is_finite_number)."""
+    return isinstance(value, numbers.Real) and _is_finite_number(value) and value > 0
 
 
 def _check_level(k: int) -> None:

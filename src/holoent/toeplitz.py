@@ -22,7 +22,13 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
-from .sections import _check_level, _is_integer, _mode_weights, monomial_integral
+from .sections import (
+    _check_level,
+    _is_finite_number,
+    _is_integer,
+    _mode_weights,
+    monomial_integral,
+)
 from .states import StateTensor, _freeze_field, _orthonormal_blocks
 
 
@@ -30,8 +36,9 @@ from .states import StateTensor, _freeze_field, _orthonormal_blocks
 class SymbolTerm:
     """One term coef * z^pz zbar^qz w^pw wbar^qw / ((1+|z|^2)^nz (1+|w|^2)^nw).
 
-    Each exponent is an integer >= 0 (numpy integers pass, bool does not);
-    anything else is a ValueError naming the field.
+    ``coef`` is a finite real or complex number and each exponent an
+    integer >= 0 (numpy numbers pass, bool does not); anything else is a
+    ValueError naming the field.
     """
 
     coef: object
@@ -43,6 +50,8 @@ class SymbolTerm:
     nw: int = 0
 
     def __post_init__(self):
+        if not _is_finite_number(self.coef):
+            raise ValueError(f"coef must be a finite number, got {self.coef!r}")
         for name in ("pz", "qz", "pw", "qw", "nz", "nw"):
             value = getattr(self, name)
             if not _is_integer(value, 0):
@@ -51,13 +60,22 @@ class SymbolTerm:
 
 @dataclass(frozen=True)
 class SymbolExpr:
-    """Finite rational-monomial symbol on the product of two affine charts."""
+    """Finite rational-monomial symbol on the product of two affine charts.
+
+    ``terms`` are SymbolTerms and ``offset`` is a finite real or complex
+    number (bool excluded); anything else is a ValueError naming the field.
+    """
 
     terms: tuple = ()
     offset: object = 0
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
+        for term in self.terms:
+            if not isinstance(term, SymbolTerm):
+                raise ValueError(f"terms must be SymbolTerms, got {term!r}")
+        if not _is_finite_number(self.offset):
+            raise ValueError(f"offset must be a finite number, got {self.offset!r}")
 
     def is_real_valued(self) -> bool:
         """Syntactic check: term set closed under conjugation and real offset."""

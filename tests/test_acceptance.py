@@ -116,7 +116,7 @@ def test_criterion_4_diagonal_kernel_extremes():
         optimizer_ok = optimizer_ok and result.best_value <= math.log(k + 1) + 1e-9
     elapsed = time.perf_counter() - start
     report(
-        "criterion 4: diagonal kernel has dimension k and carries the extremal entropies",
+        "criterion 4: diagonal kernel has dimension k and carries the maximal entropy ln(k+1)",
         dims_ok and constructed_ok and optimizer_ok and elapsed < 30.0,
         f"runtime={elapsed:.1f} s",
     )

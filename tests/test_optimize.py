@@ -3,6 +3,7 @@
 import contextlib
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -240,7 +241,9 @@ def test_ascent_values_clear_the_nonmonotone_reference(k):
     for _ in range(5):
         u0 = rng.standard_normal(2 * m)
         u0 /= np.linalg.norm(u0)
-        _, history, _, _, converged = _ascend(rows, u0[:m] + 1j * u0[m:], 200, 1.0, 1e-8)
+        _, history, _, iterations, converged = _ascend(
+            rows, u0[:m] + 1j * u0[m:], 200, 1.0, 1e-8)
+        assert iterations == len(history) - 1
         ref, q = history[0], 1.0
         for value in history[1:]:
             assert value >= ref
@@ -286,8 +289,11 @@ def test_capped_restarts_report_their_best_iterate(k):
         for r, reported in enumerate(result.restart_values):
             x = np.random.default_rng(seed + r).standard_normal(2 * m)
             x /= np.linalg.norm(x)
-            u, history, gnorm, _, converged = _ascend(
+            u, history, gnorm, iterations, converged = _ascend(
                 rows, x[:m] + 1j * x[m:], max_iters, 1.0, 1e-8)
+            # no ascent stalls here, so an unconverged one ran to the cap
+            assert iterations == len(history) - 1 <= max_iters
+            assert converged or iterations == max_iters
             value, grad = optimize._value_and_gradient(rows, u)
             assert reported == (history[-1] if converged else max(history))
             assert value == reported and gnorm == np.linalg.norm(grad)
@@ -295,6 +301,28 @@ def test_capped_restarts_report_their_best_iterate(k):
         assert result.best_value == max(result.restart_values)
     # the cap does stop some ascents below their best value
     assert stopped_below_best > 0
+
+
+def test_equal_restart_values_report_the_lowest_restart(monkeypatch):
+    # every restart returns the same value from a distinct state, so only
+    # the tie rule decides which state is reported
+    basis = diagonal_kernel_basis(3)
+    m = len(basis)
+    calls = []
+
+    def tied(rows, u0, *settings):
+        u = np.zeros(m, dtype=complex)
+        u[len(calls)] = 1.0
+        calls.append(u)
+        return u, [0.5], float(len(calls)), 0, len(calls) == 2
+
+    monkeypatch.setattr(optimize, "_ascend", tied)
+    result = maximize(OptProblem(subspace=tuple(basis), restarts=3))
+    assert len(calls) == 3
+    assert result.restart_values == (0.5, 0.5, 0.5)
+    assert result.best_value == 0.5 and result.converged
+    assert result.grad_norm == 1.0
+    assert np.max(np.abs(result.best_state.coeffs - basis[0].coeffs)) <= 1e-15
 
 
 def test_no_convergence_is_flagged_not_fatal():
@@ -355,6 +383,8 @@ def test_problem_validation():
     {"step0": True},
     {"tol_grad": None},
     {"tol_grad": 1e-8 + 0j},
+    # beyond the float range: math.isfinite raised a bare OverflowError
+    {"step0": Fraction(10**400)},
 ])
 def test_problem_rejects_non_finite_or_non_positive_settings(settings):
     with pytest.raises(ValueError, match="invalid optimizer settings"):
@@ -410,6 +440,17 @@ def test_critical_residual_detects_uneven_spectrum():
     rotated = StateTensor(1, u @ state.coeffs @ v.T)
     assert not rotated.is_diagonal()
     assert critical_residual(rotated) == pytest.approx(0.6, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [
+    2.0, 0.9, math.nan, math.inf, -1, 0.0, True, "1", None, 1e-10 + 0j,
+])
+def test_critical_residual_rejects_a_support_tol_it_cannot_use(bad):
+    # squared Schmidt coefficients of the Bell pair are 1/2, 1/2 and 0, so
+    # -1 would count the zero as support and read a spread of 1/2
+    with pytest.raises(DomainError, match=rf"support_tol\b.*{re.escape(repr(bad))}$"):
+        critical_residual(bell_vector(2), support_tol=bad)
+    assert critical_residual(bell_vector(2), support_tol=0.4) <= 1e-12
 
 
 def test_critical_residual_requires_diagonal_unit_state():

@@ -352,6 +352,19 @@ def test_near_product_entropy_series():
     assert series[-1] < 0.02
 
 
+@pytest.mark.parametrize("k", list(range(4, 21)))
+def test_near_product_sequence_is_not_the_least_entangled(k):
+    # binom(k, h) e_0 (x) e_0 - e_h (x) e_h cancels against the binomial
+    # weights exactly (before normalizing, which rounds), and its entropy
+    # lies below near_product_entropy(k)
+    h = k // 2
+    diag = np.zeros(k + 1)
+    diag[0], diag[h] = math.comb(k, h), -1.0
+    assert restrict(StateTensor.from_diagonal(k, diag)).max_abs() == 0.0
+    state = StateTensor.from_diagonal(k, diag / np.linalg.norm(diag))
+    assert entanglement_entropy(state) < near_product_entropy(k)
+
+
 @pytest.mark.parametrize("k", [1, 2, 5, 12, 20])
 def test_bell_vector_properties(k):
     state = bell_vector(k)

@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +34,29 @@ EXPECTED_LEVEL1_COMPRESSION = np.array(
         [-0.5, 0.0, 0.0, 0.5],
     ]
 )
+
+
+def casimir(k):
+    """Total-spin Casimir J^2 on the product basis e_i (x) e_j, lexicographic in (i, j).
+
+    It keeps each diagonal i - j = d and is tridiagonal there: k(k+2)/2 +
+    2 m1 m2 on the diagonal, with m1 = i - k/2 and m2 = k/2 - j, and
+    +sqrt((i+1)(k-i)(j+1)(k-j)) coupling (i, j) with (i+1, j+1).
+    """
+    n = k + 1
+    c = np.zeros((n * n, n * n))
+    for i in range(n):
+        for j in range(n):
+            c[i * n + j, i * n + j] = k * (k + 2) / 2 + 2 * (i - k / 2) * (k / 2 - j)
+            if i < k and j < k:
+                off = math.sqrt((i + 1) * (k - i) * (j + 1) * (k - j))
+                c[i * n + j, (i + 1) * n + j + 1] = c[(i + 1) * n + j + 1, i * n + j] = off
+    return c
+
+
+def projection_symbol_eigenvalue(k, spin):
+    """Exact eigenvalue of the compressed projection symbol on total spin J."""
+    return Fraction(9, 2) * ((k + 1) * (k + 2) - spin * (spin + 1)) / (k + 2) ** 2 - 2
 
 
 def measure_grid(n_rad=24, n_ang=32):
@@ -217,6 +241,22 @@ def test_symbol_term_exponents_must_be_integers(name, bad):
     assert getattr(SymbolTerm(1.0, **{name: np.int64(2)}), name) == 2
 
 
+@pytest.mark.parametrize("bad", [
+    math.nan, math.inf, -math.inf, complex(0.0, math.inf), np.float64(math.nan),
+    "x", "1", None, True, np.bool_(True), Fraction(10**400), (SymbolTerm(1.0),),
+])
+def test_symbol_coefficients_and_offsets_must_be_finite_numbers(bad):
+    with pytest.raises(ValueError, match=re.escape(f"coef must be a finite number, got {bad!r}")):
+        SymbolTerm(bad, pz=1, nz=1)
+    with pytest.raises(ValueError, match=re.escape(f"offset must be a finite number, got {bad!r}")):
+        SymbolExpr(offset=bad)
+    with pytest.raises(ValueError, match=re.escape(f"terms must be SymbolTerms, got {bad!r}")):
+        SymbolExpr(terms=(SymbolTerm(1.0, pz=1, qz=1, nz=1), bad))
+    for good in (Fraction(1, 3), np.float32(2.0), np.int64(-3), 1j, np.complex128(1 - 2j)):
+        term = SymbolTerm(good, pz=1, qz=1, nz=1)
+        assert np.isfinite(toeplitz_matrix(SymbolExpr(terms=(term,), offset=good), 2).entries).all()
+
+
 def test_slowly_decaying_symbol_raises():
     with pytest.raises(DomainError):
         toeplitz_matrix(SymbolExpr(terms=(SymbolTerm(1.0, pz=1, qz=1),)), 2)
@@ -272,6 +312,40 @@ def test_factor_entries_lie_within_three_ulps_of_the_exact_value(k):
 def test_projection_symbol_hermitian_at_level_40():
     T = toeplitz_matrix(kernel_projection_symbol(), 40).entries
     assert np.max(np.abs(T - T.conj().T)) <= 1e-12 * np.max(np.abs(T))
+
+
+@pytest.mark.parametrize("k, mean_square", [
+    (1, Fraction(1, 4)),
+    (2, Fraction(31, 64)),
+    (5, Fraction(181, 196)),
+    (10, Fraction(79, 64)),
+    (20, Fraction(2821, 1936)),
+])
+def test_projection_symbol_compresses_to_a_function_of_the_casimir(k, mean_square):
+    # J^2 has eigenvalues J(J+1), each 2J+1 times, for J = 0..k
+    c = casimir(k)
+    spins = np.repeat(np.arange(k + 1), 2 * np.arange(k + 1) + 1)
+    assert np.max(np.abs(np.linalg.eigvalsh(c) - spins * (spins + 1))) <= 1e-13 * k * (k + 1)
+    # T = (9/2)((k+1)(k+2) - J^2)/(k+2)^2 - 2 entrywise
+    t = toeplitz_matrix(kernel_projection_symbol(), k).entries
+    eye = np.eye((k + 1) ** 2)
+    expected = 4.5 * ((k + 1) * (k + 2) * eye - c) / (k + 2) ** 2 - 2 * eye
+    assert np.max(np.abs(t - expected)) <= 1e-15 * np.max(np.abs(expected))
+    # so tr T^2/(k+1)^2 is an exact sum over the spin sectors
+    exact = sum((2 * spin + 1) * projection_symbol_eigenvalue(k, spin) ** 2
+                for spin in range(k + 1)) / (k + 1) ** 2
+    assert exact == mean_square
+    assert np.sum(np.abs(t) ** 2) / (k + 1) ** 2 == pytest.approx(float(exact), rel=1e-14)
+
+
+@pytest.mark.parametrize("k", list(range(1, 9)))
+def test_kernel_projection_is_the_spectral_projector_below_top_spin(k):
+    # the circle sees only the top spin J = k, so the kernel is J < k
+    values, vectors = np.linalg.eigh(casimir(k))
+    low = vectors[:, values < k * k]
+    assert low.shape[1] == k * k
+    p = projection_matrix(kernel_basis(k)).entries
+    assert np.max(np.abs(p - low @ low.T)) <= 1e-14
 
 
 def test_projection_matrix_of_bell_line():
