@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="holoent",
         description="Entanglement entropy of product-section states on the sphere: "
-                    "restriction kernels, extremal states, Toeplitz compressions and "
+                    "restriction kernels, distinguished kernel states, Toeplitz compressions and "
                     "sphere averages.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")

@@ -28,8 +28,8 @@ from .sections import _is_integer, _is_positive_real
 from .states import (
     NORM_TOL,
     StateTensor,
+    _orthonormal_blocks,
     entropy_from_squared_schmidt,
-    orthonormal_rows,
     schmidt,
     unit_norm,
 )
@@ -53,7 +53,7 @@ class OptProblem:
     """Maximization setup over the unit sphere of an orthonormal subspace.
 
     ``basis`` is derived, not set: the read-only matrix whose rows are the
-    flattened subspace states (see states.orthonormal_rows).
+    flattened subspace states (see states._orthonormal_blocks).
     """
 
     subspace: tuple
@@ -66,7 +66,7 @@ class OptProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "subspace", tuple(self.subspace))
-        object.__setattr__(self, "basis", orthonormal_rows(self.subspace))
+        object.__setattr__(self, "basis", _orthonormal_blocks(self.subspace)[0])
         for name in ("max_iters", "restarts", "seed", "step0", "tol_grad"):
             value = getattr(self, name)
             # only the seed may be 0
@@ -122,22 +122,24 @@ def entropy_and_gradient(subspace, coords):
 
     Raises
     ------
+    ValueError, DomainError, NotOrthonormal
+        If the subspace is empty, at mixed levels or not orthonormal (see
+        states._orthonormal_blocks), checked first.
     NotNormalized
         If the coordinate vector is not unit within 1e-10 (states.NORM_TOL),
         or its norm is NaN.
-    NotOrthonormal
-        If the subspace states are not orthonormal.
     """
+    basis = _orthonormal_blocks(subspace)[0]
     coords = np.asarray(coords, dtype=float)
     nrm = np.linalg.norm(coords)
     if not abs(nrm - 1.0) <= NORM_TOL:
         raise NotNormalized(f"coordinate norm is {nrm!r}")
-    m = len(subspace)
+    m = len(basis)
     if coords.shape not in ((m,), (2 * m,)):
         raise ValueError(f"coordinate vector must have length {m} or {2 * m}")
     real_only = coords.shape == (m,)
     c = coords.astype(complex) if real_only else coords[:m] + 1j * coords[m:]
-    value, grad = _value_and_gradient(orthonormal_rows(subspace), c, warn_degenerate=True)
+    value, grad = _value_and_gradient(basis, c, warn_degenerate=True)
     return value, grad.real if real_only else np.concatenate([grad.real, grad.imag])
 
 

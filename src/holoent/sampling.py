@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularFit
-from .sections import _check_level, _is_integer
+from .sections import _check_level, _is_finite_real, _is_integer
 from .states import StateTensor, entropy_from_squared_schmidt
 
 BLOCK_SIZE = 4096
@@ -182,11 +182,17 @@ def fit_tail(pairs) -> tuple[float, float]:
 
     Raises
     ------
+    DomainError
+        If some level is not an integer >= 1 (see sections._check_level),
+        or some mean is not a finite real number (bool excluded).
     SingularFit
         With fewer than 3 distinct levels, or a rank-deficient design.
     """
-    ks = np.array([float(k) for k, _ in pairs])
-    means = np.array([float(m) for _, m in pairs])
+    for k, mean in pairs:
+        _check_level(k)
+        if not _is_finite_real(mean):
+            raise DomainError(f"mean at level {k} must be a finite real number, got {mean!r}")
+    ks, means = np.array(pairs, dtype=float).reshape(-1, 2).T
     if len(set(ks.tolist())) < 3:
         raise SingularFit("need at least 3 distinct levels")
     design = np.column_stack([np.ones_like(ks), 1.0 / ks])

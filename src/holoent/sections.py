@@ -46,9 +46,14 @@ def _is_finite_number(value) -> bool:
         return False
 
 
+def _is_finite_real(value) -> bool:
+    """True if value is a finite real number (see _is_finite_number)."""
+    return isinstance(value, numbers.Real) and _is_finite_number(value)
+
+
 def _is_positive_real(value) -> bool:
-    """True if value is a finite real number > 0 (see _is_finite_number)."""
-    return isinstance(value, numbers.Real) and _is_finite_number(value) and value > 0
+    """True if value is a finite real number > 0 (see _is_finite_real)."""
+    return _is_finite_real(value) and value > 0
 
 
 def _check_level(k: int) -> None:
@@ -124,11 +129,11 @@ def monomial_integral(a: int, N: int) -> Fraction:
     """Moment integral of |z|^(2a) / (1+|z|^2)^N over the normalized measure.
 
     Exact value a! (N-a)! / (N+1)! = 1 / ((N+1) binom(N, a)) for
-    0 <= a <= N; outside that range the integral diverges and DomainError
-    is raised.
+    integers 0 <= a <= N (bool excluded); elsewhere the integral diverges
+    or is undefined, and DomainError names the moment.
     """
-    if a < 0 or N < 0 or a > N:
-        raise DomainError(f"moment ({a}, {N}) outside 0 <= a <= N")
+    if not (_is_integer(a, 0) and _is_integer(N, a)):
+        raise DomainError(f"moment ({a!r}, {N!r}) needs integers 0 <= a <= N")
     return Fraction(1, (N + 1) * math.comb(N, a))
 
 

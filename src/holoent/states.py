@@ -7,6 +7,7 @@ matrix, entanglement entropy) reduces to dense linear algebra on C.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,14 +98,16 @@ class StateTensor:
         """Inverse of to_dict.
 
         Raises ValueError, naming the field at fault, unless the record is
-        a dict with fields "k", "re" and "im", its "k" is a valid level and
-        its coefficients are finite matrices of numbers.
+        a dict with fields "k", "re" and "im", its "k" is a valid level
+        (DomainError) and its coefficients are finite (k+1, k+1) matrices
+        of numbers.
         """
         if not isinstance(record, dict):
             raise ValueError(f"state record must be a JSON object, got {type(record).__name__}")
         missing = [field for field in ("k", "re", "im") if field not in record]
         if missing:
             raise ValueError(f"state record is missing field {missing[0]!r}")
+        _check_level(record["k"])
         re = _coefficient_field(record, "re")
         im = _coefficient_field(record, "im")
         if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
@@ -113,11 +116,15 @@ class StateTensor:
 
 
 def _coefficient_field(record: dict, field: str) -> np.ndarray:
-    """Float array of a state record's coefficient field, or ValueError naming it."""
+    """Float (k+1, k+1) array of a state record's coefficient field, or ValueError naming it."""
     try:
-        return np.asarray(record[field], dtype=float)
+        a = np.asarray(record[field], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"state field {field!r} must be a matrix of numbers ({exc})") from None
+    shape = (record["k"] + 1,) * 2
+    if a.shape != shape:
+        raise ValueError(f"state field {field!r} must have shape {shape}, got {a.shape}")
+    return a
 
 
 @dataclass(frozen=True)
@@ -170,17 +177,18 @@ def unit_norm(state: StateTensor) -> float:
     return nrm
 
 
-def _mode_blocks(rows: np.ndarray, k: int):
+def _mode_blocks(rows: np.ndarray):
     """Blocks of a level-k row matrix, as (row indices, column indices) pairs.
 
-    Column i(k+1) + j holds e_i (x) e_j, of mode d = i - j. Each row spans
-    the modes from its lowest to its highest nonzero coefficient (a zero
-    row spans them all); a block is a maximal run of rows whose ranges
-    chain-overlap, and its columns are every coefficient whose mode lies
-    in the run, so different blocks share no column. Blocks come in
-    ascending mode, with ascending indices.
+    k is read off the (k+1)^2 columns; column i(k+1) + j holds e_i (x) e_j,
+    of mode d = i - j. Each row spans the modes from its lowest to its
+    highest nonzero coefficient (a zero row spans them all); a block is a
+    maximal run of rows whose ranges chain-overlap, and its columns are
+    every coefficient whose mode lies in the run, so different blocks
+    share no column. Blocks come in ascending mode, with ascending indices.
     """
-    i, j = np.divmod(np.arange((k + 1) ** 2), k + 1)
+    n = math.isqrt(rows.shape[1])
+    i, j = np.divmod(np.arange(n * n), n)
     mode = i - j
     by_mode = np.argsort(mode, kind="stable")
     support = (rows != 0)[:, by_mode]
@@ -194,30 +202,35 @@ def _mode_blocks(rows: np.ndarray, k: int):
         yield np.sort(order[start:stop]), cols
 
 
-def _orthonormal_blocks(states, k: int):
-    """Rows of orthonormal_rows and, per mode block, its columns and submatrix.
+def _orthonormal_blocks(states):
+    """Check an orthonormal set; return its rows and, per mode block, (columns, submatrix).
 
-    A block is a maximal run of states whose mode ranges [lowest i - j,
-    highest i - j] over their nonzero coefficients chain-overlap (see
-    _mode_blocks). States in different blocks share no coefficient, so
-    the Gram matrix is block diagonal (entries between blocks are exactly
-    0) and is checked one block at a time.
+    The rows are the read-only (m, (k+1)^2) complex matrix of the flattened
+    states, at the level k they share. A block is a maximal run of states
+    whose mode ranges [lowest i - j, highest i - j] over their nonzero
+    coefficients chain-overlap (see _mode_blocks). States in different
+    blocks share no coefficient, so the Gram matrix is block diagonal
+    (entries between blocks are exactly 0) and is checked block by block.
 
     Raises
     ------
+    ValueError
+        If the set is empty.
     DomainError
-        If some state is not at level k.
+        If the states are not all at one level.
     NotOrthonormal
         If the Gram matrix of the states deviates from the identity by
         more than 1e-10, or is not finite.
     """
+    if not states:
+        raise ValueError("an orthonormal set needs at least one state")
     levels = sorted({s.k for s in states})
-    if levels != [k]:
-        raise DomainError(f"basis states have levels {levels}, expected all at k={k}")
+    if len(levels) > 1:
+        raise DomainError(f"basis states have levels {levels}, expected one level")
     rows = np.stack([s.coeffs.reshape(-1) for s in states])
     blocks = []
     defects = [0.0]
-    for row_idx, col_idx in _mode_blocks(rows, k):
+    for row_idx, col_idx in _mode_blocks(rows):
         block = rows[row_idx[:, None], col_idx]
         gram = block.conj() @ block.T
         defects.append(np.max(np.abs(gram - np.eye(len(block)))))
@@ -227,25 +240,6 @@ def _orthonormal_blocks(states, k: int):
         raise NotOrthonormal(f"basis Gram matrix deviates from identity by {defect:.3e}")
     rows.setflags(write=False)
     return rows, blocks
-
-
-def orthonormal_rows(states) -> np.ndarray:
-    """Read-only (m, (k+1)^2) complex matrix whose rows are the flattened states.
-
-    The Gram matrix is checked one mode block at a time (see
-    _orthonormal_blocks).
-
-    Raises
-    ------
-    DomainError
-        If the states are not all at one level.
-    NotOrthonormal
-        If the Gram matrix of the states deviates from the identity by
-        more than 1e-10, or is not finite.
-    """
-    if not states:
-        raise ValueError("an orthonormal set needs at least one state")
-    return _orthonormal_blocks(states, states[0].k)[0]
 
 
 def schmidt(state: StateTensor) -> SchmidtData:

@@ -219,7 +219,7 @@ def toeplitz_matrix(symbol: SymbolExpr, k: int) -> ToeplitzMatrix:
     return ToeplitzMatrix(k, entries)
 
 
-def projection_matrix(basis: list[StateTensor], k: int | None = None) -> ToeplitzMatrix:
+def projection_matrix(basis: list[StateTensor]) -> ToeplitzMatrix:
     """Orthogonal projection sum_v |v><v| onto the span of an orthonormal set.
 
     The projection is built per mode block of the basis (see
@@ -232,24 +232,15 @@ def projection_matrix(basis: list[StateTensor], k: int | None = None) -> Toeplit
     costs sum_d (k-|d|+1)^3 against (k+1)^6 for the dense product; a
     dense basis spans every mode, is one block and takes the dense product.
 
-    The level must be given explicitly when the basis is empty
-    (DomainError otherwise).
-
     Raises
     ------
-    DomainError
-        If the basis states are not all at one level, or an explicit k
-        differs from it.
-    NotOrthonormal
-        If the Gram matrix of the basis deviates from the identity by
-        more than 1e-10, or is not finite.
+    ValueError, DomainError, NotOrthonormal
+        If the basis is empty, at mixed levels or not orthonormal (see
+        states._orthonormal_blocks); P is at the level its states share.
     """
-    if k is None and basis:
-        k = basis[0].k
-    _check_level(k)
-    blocks = _orthonormal_blocks(basis, k)[1] if basis else []
-    dim = (k + 1) ** 2
-    entries = np.zeros((dim, dim), dtype=complex)
+    blocks = _orthonormal_blocks(basis)[1]  # drop the rows: they would coexist with P
+    k = basis[0].k
+    entries = np.zeros(((k + 1) ** 2,) * 2, dtype=complex)
     for cols, block in blocks:
         entries[cols[:, None], cols] = block.T @ block.conj()
     entries.setflags(write=False)  # frozen here, so ToeplitzMatrix needs no copy

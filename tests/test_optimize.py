@@ -23,10 +23,11 @@ from holoent import (
     kernel_basis,
     max_entropy_vector,
     maximize,
+    projection_matrix,
 )
 from holoent import optimize
 from holoent.optimize import GRAD_LOG_FLOOR, REFERENCE_DECAY, _ascend
-from holoent.states import entropy_from_squared_schmidt, orthonormal_rows
+from holoent.states import _orthonormal_blocks, entropy_from_squared_schmidt
 
 
 def entropy_of_coords(subspace, coords):
@@ -183,6 +184,19 @@ def test_problem_rejects_mixed_levels_naming_them():
         OptProblem(subspace=(bell_vector(1), bell_vector(2)))
 
 
+def test_every_entry_refuses_an_empty_set_alike():
+    # one check of an orthonormal set behind all three entries
+    entries = {
+        "projection_matrix": lambda: projection_matrix([]),
+        "OptProblem": lambda: OptProblem(subspace=()),
+        "entropy_and_gradient": lambda: entropy_and_gradient([], np.array([1.0])),
+    }
+    for name, entry in entries.items():
+        with pytest.raises(ValueError) as info:
+            entry()
+        assert str(info.value) == "an orthonormal set needs at least one state", name
+
+
 def test_maximize_single_ray():
     result = maximize(OptProblem(subspace=(bell_vector(1),), seed=1))
     assert abs(result.best_value - math.log(2)) < 1e-12
@@ -235,7 +249,7 @@ def test_maximize_invariant_under_global_phase_of_basis():
 @pytest.mark.parametrize("k", [2, 5, 20])
 def test_ascent_values_clear_the_nonmonotone_reference(k):
     basis = diagonal_kernel_basis(k)
-    rows = orthonormal_rows(basis)
+    rows = _orthonormal_blocks(basis)[0]
     m = len(basis)
     rng = np.random.default_rng(8)
     for _ in range(5):
@@ -279,7 +293,7 @@ def test_every_sweep_restart_converges(monkeypatch):
 @pytest.mark.parametrize("k", [2, 3, 10])
 def test_capped_restarts_report_their_best_iterate(k):
     basis = diagonal_kernel_basis(k)
-    rows = orthonormal_rows(basis)
+    rows = _orthonormal_blocks(basis)[0]
     m = len(basis)
     seed, restarts = 0, 16
     stopped_below_best = 0

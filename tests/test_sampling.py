@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -250,6 +251,14 @@ def test_fit_tail_on_exact_oracle():
     # constant term and 1/k coefficient match ln(k+1) - 1/2 = ln k - 1/2 + 1/k + ...
     assert abs(c0 + 0.5) <= 0.02
     assert 0.9 <= c1 <= 1.1
+
+
+@pytest.mark.parametrize("mean", [math.nan, math.inf, True, 1j, "0.5"], ids=repr)
+def test_fit_tail_refuses_a_mean_that_is_not_a_finite_real(mean):
+    # a NaN mean came back as (nan, nan)
+    message = f"mean at level 16 must be a finite real number, got {mean!r}"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        fit_tail([(8, 1.0), (16, mean), (32, 1.2)])
 
 
 def test_fit_tail_needs_three_distinct_levels():

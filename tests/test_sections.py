@@ -21,13 +21,13 @@ from holoent import (
     bell_vector,
     diagonal_kernel_basis,
     evaluate_section,
+    fit_tail,
     kernel_basis,
     kernel_projection_symbol,
     max_entropy_vector,
     mc_mean_entropy,
     near_product_entropy,
     near_product_vector,
-    projection_matrix,
     restrict,
     monomial_integral,
     sample_uniform_state,
@@ -65,6 +65,11 @@ def test_moment_domain_error():
         monomial_integral(3, 2)
     with pytest.raises(DomainError):
         monomial_integral(-1, 2)
+    # 1.5 would reach math.comb as a TypeError, and True read as 1
+    with pytest.raises(DomainError, match=re.escape("moment (1.5, 3)")):
+        monomial_integral(1.5, 3)
+    with pytest.raises(DomainError, match=re.escape("moment (True, 2)")):
+        monomial_integral(True, 2)
 
 
 def test_moment_recursion_is_exact():
@@ -158,8 +163,8 @@ LEVEL_ENTRIES = {
     "sample_uniform_state": lambda k: sample_uniform_state(k, np.random.default_rng(0)),
     "mc_mean_entropy": lambda k: mc_mean_entropy(k, 100, 0),
     "asymptotic_mean_entropy": asymptotic_mean_entropy,
+    "fit_tail": lambda k: fit_tail([(k, 0.1), (2, 0.2), (3, 0.3)]),
     "toeplitz_matrix": lambda k: toeplitz_matrix(kernel_projection_symbol(), k),
-    "projection_matrix": lambda k: projection_matrix([], k),
     "basis_norm_const": lambda k: basis_norm_const(k, 0),
     "section_inner_product": lambda k: section_inner_product(k, 0, 0),
     "basis_values": lambda k: basis_values(k, 0.5),

@@ -26,7 +26,7 @@ from holoent import (
     schmidt,
     schmidt_rank,
 )
-from holoent.states import orthonormal_rows, unit_norm
+from holoent.states import _orthonormal_blocks, unit_norm
 
 
 def random_unit_state(k, rng):
@@ -313,6 +313,11 @@ def test_json_roundtrip():
     ({"k": 1, "re": {"a": 1}, "im": [[0, 0], [0, 0]]}, "'re'"),
     ({"k": 1, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0]]}, "'im'"),
     ({"k": 1, "re": [[1, 0], [0, "x"]], "im": [[0, 0], [0, 0]]}, "'re'"),
+    # shapes that numpy would broadcast into another state, or refuse unnamed
+    ({"k": 1, "re": [[0.5, 0], [0.5, 0]], "im": [[0.5, 0]]},
+     re.escape("'im' must have shape (2, 2), got (1, 2)")),
+    ({"k": 1, "re": [[1, 0, 0], [0, 0, 0]], "im": [[0, 0], [0, 0]]},
+     re.escape("'re' must have shape (2, 2), got (2, 3)")),
 ])
 def test_from_dict_names_the_malformed_field(record, field):
     with pytest.raises(ValueError, match=field):
@@ -329,7 +334,7 @@ def test_schmidt_data_gives_entropy_and_rank_of_its_state():
 
 def test_orthonormal_rows_flattens_states_read_only():
     basis = kernel_basis(3)
-    rows = orthonormal_rows(basis)
+    rows = _orthonormal_blocks(basis)[0]
     assert rows.shape == (9, 16) and rows.dtype == complex
     assert all(np.array_equal(row, v.coeffs.reshape(-1)) for row, v in zip(rows, basis))
     with pytest.raises(ValueError):
@@ -339,13 +344,13 @@ def test_orthonormal_rows_flattens_states_read_only():
 def test_orthonormal_rows_rejects_skewed_basis_as_value_error():
     skewed = StateTensor(1, bell_vector(1).coeffs * 0.5)
     with pytest.raises(NotOrthonormal, match="deviates from identity"):
-        orthonormal_rows([skewed])
+        _orthonormal_blocks([skewed])
     with pytest.raises(ValueError):
-        orthonormal_rows([bell_vector(1), bell_vector(1)])
+        _orthonormal_blocks([bell_vector(1), bell_vector(1)])
 
 
 def test_orthonormal_rows_rejects_mixed_levels_and_an_empty_set():
     with pytest.raises(DomainError, match=r"levels \[1, 3\]"):
-        orthonormal_rows([bell_vector(1), bell_vector(3)])
+        _orthonormal_blocks([bell_vector(1), bell_vector(3)])
     with pytest.raises(ValueError, match="at least one state"):
-        orthonormal_rows([])
+        _orthonormal_blocks([])

@@ -354,8 +354,8 @@ def test_projection_matrix_of_bell_line():
 
 
 def test_projection_matrix_empty_and_complete():
-    zero = projection_matrix([], k=1)
-    assert np.array_equal(zero.entries, np.zeros((4, 4)))
+    with pytest.raises(ValueError, match="at least one state"):
+        projection_matrix([])
     full = [StateTensor.basis_element(1, i, j) for i in range(2) for j in range(2)]
     identity = projection_matrix(full)
     assert np.array_equal(identity.entries, np.eye(4))
@@ -400,7 +400,7 @@ def test_projection_matrix_of_diagonal_kernel_matches_dense_product(k):
 @pytest.mark.parametrize("k", [3, 20])
 def test_kernel_basis_has_one_support_block_per_nonempty_mode(k):
     rows = np.stack([v.coeffs.reshape(-1) for v in kernel_basis(k)])
-    blocks = list(_mode_blocks(rows, k))
+    blocks = list(_mode_blocks(rows))
     # modes d = -k and k hold no kernel state; mode d holds k - |d| states
     # on the k - |d| + 1 coefficients of its diagonal
     assert [len(r) for r, _ in blocks] == [k - abs(d) for d in range(1 - k, k)]
@@ -414,7 +414,7 @@ def test_projection_matrix_of_dense_random_basis_is_one_block():
     q, _ = np.linalg.qr(rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
     basis = [StateTensor(k, col.reshape(k + 1, k + 1)) for col in q.T]
     rows = np.stack([v.coeffs.reshape(-1) for v in basis])
-    [(row_idx, col_idx)] = _mode_blocks(rows, k)
+    [(row_idx, col_idx)] = _mode_blocks(rows)
     assert np.array_equal(row_idx, np.arange(m)) and np.array_equal(col_idx, np.arange(n))
     P = projection_matrix(basis).entries
     assert np.array_equal(P, dense_projection(basis))
@@ -443,7 +443,7 @@ def partly_overlapping_basis():
 
 def test_support_blocks_merge_through_a_shared_state():
     rows = np.stack([v.coeffs.reshape(-1) for v in partly_overlapping_basis()])
-    blocks = [(list(r), list(c)) for r, c in _mode_blocks(rows, 2)]
+    blocks = [(list(r), list(c)) for r, c in _mode_blocks(rows)]
     assert blocks == [([0, 1, 2, 3], [0, 1, 2, 3, 4, 5, 7, 8])]
 
 
@@ -460,12 +460,12 @@ def test_mode_blocks_merge_a_chain_of_overlapping_ranges():
     basis = chain_basis()
     rows = np.stack([v.coeffs.reshape(-1) for v in basis])
     mode = flat_modes(3)
-    blocks = [(list(r), list(c)) for r, c in _mode_blocks(rows[:2], 3)]
+    blocks = [(list(r), list(c)) for r, c in _mode_blocks(rows[:2])]
     assert blocks == [
         ([0], list(np.flatnonzero((mode >= 0) & (mode <= 1)))),
         ([1], list(np.flatnonzero(mode >= 2))),
     ]
-    blocks = [(list(r), list(c)) for r, c in _mode_blocks(rows, 3)]
+    blocks = [(list(r), list(c)) for r, c in _mode_blocks(rows)]
     assert blocks == [([0, 1, 2], list(np.flatnonzero(mode >= 0)))]
     assert_matches_dense(basis)
 
@@ -474,7 +474,7 @@ def test_zero_state_spans_every_mode_and_is_refused():
     zero = StateTensor(2, np.zeros((3, 3)))
     basis = partly_overlapping_basis()[3:] + [zero]
     rows = np.stack([v.coeffs.reshape(-1) for v in basis])
-    [(row_idx, col_idx)] = _mode_blocks(rows, 2)
+    [(row_idx, col_idx)] = _mode_blocks(rows)
     assert list(row_idx) == [0, 1] and list(col_idx) == list(range(9))
     with pytest.raises(NotOrthonormal, match="deviates from identity by 1.000e"):
         projection_matrix(basis)
@@ -507,7 +507,7 @@ def test_projection_matrix_of_full_product_basis_is_exactly_identity(k):
     # so each block's rows and columns agree
     rows = np.stack([v.coeffs.reshape(-1) for v in full])
     mode = flat_modes(k)
-    blocks = [(list(r), list(c)) for r, c in _mode_blocks(rows, k)]
+    blocks = [(list(r), list(c)) for r, c in _mode_blocks(rows)]
     assert blocks == [(list(np.flatnonzero(mode == d)),) * 2 for d in range(-k, k + 1)]
 
 
@@ -520,9 +520,8 @@ def test_projection_matrix_rejects_non_finite_coefficients(bad):
 def test_projection_matrix_rejects_mixed_levels_naming_them():
     with pytest.raises(DomainError, match=r"levels \[1, 2\]"):
         projection_matrix([bell_vector(1), bell_vector(2)])
-    with pytest.raises(DomainError, match=r"levels \[2\], expected all at k=3"):
-        projection_matrix(kernel_basis(2), k=3)
-    assert projection_matrix(kernel_basis(2), k=2).k == 2
+    # the level is the one the states share
+    assert projection_matrix(kernel_basis(2)).k == 2
 
 
 def test_matrix_freezes_a_copy_of_writeable_entries():
