@@ -125,11 +125,16 @@ def entropy_and_gradient(subspace, coords):
     ValueError, DomainError, NotOrthonormal
         If the subspace is empty, at mixed levels or not orthonormal (see
         states._orthonormal_blocks), checked first.
+    DomainError
+        Naming coords, if the coordinate vector is complex.
     NotNormalized
         If the coordinate vector is not unit within 1e-10 (states.NORM_TOL),
         or its norm is NaN.
     """
     basis = _orthonormal_blocks(subspace)[0]
+    if np.iscomplexobj(coords):
+        raise DomainError("coords must be real; pass complex weights as the 2m real and "
+                          "imaginary parts")
     coords = np.asarray(coords, dtype=float)
     nrm = np.linalg.norm(coords)
     if not abs(nrm - 1.0) <= NORM_TOL:

@@ -1,17 +1,25 @@
 """Monte-Carlo averages of entanglement entropy over the unit sphere.
 
-States are drawn uniformly by normalizing complex Gaussian coefficient
-matrices, the unique rotation-invariant construction. Sampling is
-blocked: block b of a run uses a generator seeded with (seed, b), and the
-reduction follows block order, so estimates are reproducible and
-independent of how blocks are scheduled. Blocks run concurrently, on up
-to one thread per CPU available to the process (on one thread above
-level 63, where the SVDs run on BLAS threads of their own). Each thread
-draws and processes its block in chunks of at most _CHUNK_COEFFS
-coefficients, so its memory is bounded by the chunk size, not the block
-size. The estimate is bit-identical to a serial run of the blocks in
-order. The exact finite-dimensional mean (Page's harmonic-number
-formula) serves as the ground-truth oracle for the sampler.
+A uniform unit state is a normalized complex Gaussian (Ginibre)
+coefficient matrix, the unique rotation-invariant construction, and its
+entropy depends only on the matrix's squared singular values. Their law
+is that of a real (k+1) x (k+1) upper-bidiagonal matrix with independent
+chi-distributed entries, the beta = 2 Laguerre model of Dumitriu and
+Edelman (Matrix models for beta ensembles, J. Math. Phys. 43, 2002), so
+each sample draws its 2k+1 bidiagonal entries instead of the 2(k+1)^2
+Gaussian coefficients. Estimates agree with sample_uniform_state in law,
+not stream by stream; sample_uniform_state stays the coefficient-level
+sampler. Sampling is blocked: block b of a run uses a generator seeded
+with (seed, b), and the reduction follows block order, so estimates are
+reproducible and independent of how blocks are scheduled. Blocks run
+concurrently, on up to one thread per CPU available to the process (on
+one thread above level 63, where the SVDs run on BLAS threads of their
+own). Each thread draws and processes its block in chunks of at most
+_CHUNK_COEFFS matrix entries, so its memory is bounded by the chunk size,
+not the block size. The estimate is bit-identical to a serial run of the
+blocks in order. The exact finite-dimensional mean (Page's
+harmonic-number formula) serves as the ground-truth oracle for the
+sampler.
 """
 
 from __future__ import annotations
@@ -28,8 +36,9 @@ from .sections import _check_level, _is_finite_real, _is_integer
 from .states import StateTensor, entropy_from_squared_schmidt
 
 BLOCK_SIZE = 4096
-# Complex coefficients drawn and processed at once within a block: about
-# 600 samples at k = 20, a few MB of temporaries per thread at any level.
+# Entries of the real (k+1) x (k+1) bidiagonal matrices processed at once
+# within a block: about 600 samples at k = 20, a few MB of temporaries per
+# thread at any level.
 _CHUNK_COEFFS = 1 << 18
 # Above this level OpenBLAS runs the level-2 kernels inside each SVD on its
 # own threads (from 65 x 65 matrices), and concurrent blocks contend with
@@ -61,21 +70,28 @@ def sample_uniform_state(k: int, rng: np.random.Generator) -> StateTensor:
 def _block_entropies(k: int, count: int, seed: int, block: int) -> np.ndarray:
     """Entropies of `count` consecutive samples from the block's own generator.
 
-    The samples are drawn and processed in consecutive chunks; the
-    generator stream and the per-sample arithmetic are those of one draw
-    of the whole block, so the values are too.
+    Each sample is a real upper-bidiagonal B whose squared diagonal is
+    chi-square with 2(k+1), 2k, ..., 2 degrees of freedom and whose squared
+    superdiagonal is chi-square with 2k, ..., 2. Its squared singular values,
+    divided by their sum, have the law of the squared Schmidt coefficients
+    of a uniform unit state (Dumitriu-Edelman, beta = 2 Laguerre). A sample
+    takes its 2k+1 variates in a row of one sample-major draw per chunk, so
+    the chunked run is bit-identical to one draw of the whole block.
     """
     rng = np.random.default_rng([seed, block])
-    chunk = max(1, _CHUNK_COEFFS // (k + 1) ** 2)
+    n = k + 1
+    dof = 2.0 * np.concatenate([np.arange(n, 0, -1), np.arange(k, 0, -1)])
+    diag = np.arange(n)
+    chunk = max(1, _CHUNK_COEFFS // n**2)
     values = np.empty(count)
     for start in range(0, count, chunk):
         m = min(chunk, count - start)
-        x = rng.standard_normal((m, 2, k + 1, k + 1))
-        c = x[:, 0] + 1j * x[:, 1]
-        norms = np.sqrt(np.sum(np.abs(c) ** 2, axis=(1, 2)))
-        c /= norms[:, None, None]
-        sig = np.linalg.svd(c, compute_uv=False)
-        values[start : start + m] = entropy_from_squared_schmidt(sig**2)
+        x = np.sqrt(rng.chisquare(dof, size=(m, 2 * k + 1)))
+        b = np.zeros((m, n, n))
+        b[:, diag, diag] = x[:, :n]
+        b[:, diag[:-1], diag[1:]] = x[:, n:]
+        p = np.linalg.svd(b, compute_uv=False) ** 2
+        values[start : start + m] = entropy_from_squared_schmidt(p / p.sum(axis=1, keepdims=True))
     return values
 
 
@@ -97,11 +113,15 @@ def mc_mean_entropy(k: int, n: int, seed: int) -> MCEstimate:
     """Monte-Carlo mean entropy over n uniform states at level k.
 
     Deterministic given (k, n, seed). The standard error is the sample
-    standard deviation divided by sqrt(n). The BLOCK_SIZE blocks run
-    concurrently on up to one thread per available CPU (on one thread
-    for k > 63, where each SVD already uses BLAS threads), each thread
-    holding one chunk of samples at a time; results are reduced in block
-    order, so the estimate is bit-identical to running the blocks serially.
+    standard deviation divided by sqrt(n). Each sample's Schmidt spectrum
+    is drawn from the bidiagonal beta = 2 Laguerre model of Dumitriu and
+    Edelman (see _block_entropies): the estimate agrees in law with
+    entropies of sample_uniform_state draws, not stream by stream. The
+    BLOCK_SIZE blocks run concurrently on up to one thread per available
+    CPU (on one thread for k > 63, where each SVD already uses BLAS
+    threads), each thread holding one chunk of samples at a time; results
+    are reduced in block order, so the estimate is bit-identical to
+    running the blocks serially.
 
     Raises
     ------

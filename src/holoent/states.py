@@ -205,6 +205,7 @@ def _mode_blocks(rows: np.ndarray):
 def _orthonormal_blocks(states):
     """Check an orthonormal set; return its rows and, per mode block, (columns, submatrix).
 
+    The set may be any iterable of states, a one-shot iterator included.
     The rows are the read-only (m, (k+1)^2) complex matrix of the flattened
     states, at the level k they share. A block is a maximal run of states
     whose mode ranges [lowest i - j, highest i - j] over their nonzero
@@ -222,6 +223,7 @@ def _orthonormal_blocks(states):
         If the Gram matrix of the states deviates from the identity by
         more than 1e-10, or is not finite.
     """
+    states = tuple(states)
     if not states:
         raise ValueError("an orthonormal set needs at least one state")
     levels = sorted({s.k for s in states})

@@ -16,6 +16,7 @@ k = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -238,10 +239,11 @@ def projection_matrix(basis: list[StateTensor]) -> ToeplitzMatrix:
         If the basis is empty, at mixed levels or not orthonormal (see
         states._orthonormal_blocks); P is at the level its states share.
     """
-    blocks = _orthonormal_blocks(basis)[1]  # drop the rows: they would coexist with P
-    k = basis[0].k
-    entries = np.zeros(((k + 1) ** 2,) * 2, dtype=complex)
+    rows, blocks = _orthonormal_blocks(basis)
+    n = rows.shape[1]
+    del rows  # they would coexist with P
+    entries = np.zeros((n, n), dtype=complex)
     for cols, block in blocks:
         entries[cols[:, None], cols] = block.T @ block.conj()
     entries.setflags(write=False)  # frozen here, so ToeplitzMatrix needs no copy
-    return ToeplitzMatrix(k, entries)
+    return ToeplitzMatrix(math.isqrt(n) - 1, entries)

@@ -94,6 +94,14 @@ def test_gradient_refuses_nan_coords():
         entropy_and_gradient(diagonal_kernel_basis(3), [np.nan, 0.0, 0.0])
 
 
+def test_gradient_refuses_complex_coords():
+    # numpy's float conversion dropped the imaginary part with a warning only
+    with pytest.raises(DomainError, match="coords"):
+        entropy_and_gradient([bell_vector(1)], np.array([1 + 0.5j]))
+    with pytest.raises(DomainError, match="coords"):
+        entropy_and_gradient(diagonal_kernel_basis(3), [1.0 + 0j, 0.0, 0.0])
+
+
 def test_critical_residual_refuses_nan_state():
     with pytest.raises(NotNormalized, match="nan"):
         critical_residual(StateTensor(1, np.full((2, 2), np.nan)))

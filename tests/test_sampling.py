@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from holoent import (
     DomainError,
@@ -73,35 +74,22 @@ def test_mc_rejects_levels_below_one(k):
         mc_mean_entropy(k, 100, 0)
 
 
-def test_mc_blocks_reproduce_the_documented_sampler():
-    # block b consumes the stream of default_rng([seed, b]) exactly as
-    # repeated single-state draws would
-    k, n, seed = 2, BLOCK_SIZE + 50, 123
-    estimate = mc_mean_entropy(k, n, seed)
-    values = []
-    remaining = n
-    block = 0
-    while remaining > 0:
-        count = min(BLOCK_SIZE, remaining)
-        rng = np.random.default_rng([seed, block])
-        for _ in range(count):
-            values.append(entanglement_entropy(sample_uniform_state(k, rng)))
-        remaining -= count
-        block += 1
-    values = np.array(values)
-    assert estimate.mean == pytest.approx(values.mean(), abs=1e-13)
-    assert estimate.stderr == pytest.approx(values.std(ddof=1) / math.sqrt(n), abs=1e-13)
+def _bidiagonal_sample_entropy(k, rng):
+    # one sample of the documented recipe: the 2k+1 chi-square variates of a
+    # real upper-bidiagonal matrix, 2(k+1), 2k, ..., 2 degrees of freedom on
+    # the diagonal and 2k, ..., 2 above it, then its normalized squared
+    # singular values
+    n = k + 1
+    x = np.sqrt(rng.chisquare(2.0 * np.concatenate([np.arange(n, 0, -1), np.arange(k, 0, -1)])))
+    b = np.diag(x[:n]) + np.diag(x[n:], 1)
+    p = np.linalg.svd(b, compute_uv=False) ** 2
+    return entropy_from_squared_schmidt(p / p.sum())
 
 
 def _one_shot_block_entropies(k, count, seed, block):
-    # the whole block drawn and processed at once, in one thread
+    # the whole block in one serial pass of the one-sample recipe
     rng = np.random.default_rng([seed, block])
-    x = rng.standard_normal((count, 2, k + 1, k + 1))
-    c = x[:, 0] + 1j * x[:, 1]
-    norms = np.sqrt(np.sum(np.abs(c) ** 2, axis=(1, 2)))
-    c /= norms[:, None, None]
-    sig = np.linalg.svd(c, compute_uv=False)
-    return entropy_from_squared_schmidt(sig**2)
+    return np.array([_bidiagonal_sample_entropy(k, rng) for _ in range(count)])
 
 
 def _serial_reference(k, n, seed):
@@ -112,11 +100,61 @@ def _serial_reference(k, n, seed):
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n))
 
 
+def test_mc_blocks_reproduce_the_documented_sampler():
+    # block b consumes the stream of default_rng([seed, b]) exactly as
+    # repeated single-sample draws would
+    estimate = mc_mean_entropy(2, BLOCK_SIZE + 50, 123)
+    assert (estimate.mean, estimate.stderr) == _serial_reference(2, BLOCK_SIZE + 50, 123)
+
+
 @pytest.mark.parametrize("k", [1, 5, 20])
 @pytest.mark.parametrize("n", [100, 2 * BLOCK_SIZE + 37])
 def test_concurrent_chunked_blocks_equal_the_serial_one_shot_run(k, n):
     estimate = mc_mean_entropy(k, n, seed=11)
     assert (estimate.mean, estimate.stderr) == _serial_reference(k, n, 11)
+
+
+def _sampled_spectra(monkeypatch, k, n, seed):
+    # the squared Schmidt spectra behind mc_mean_entropy(k, n, seed), one row per sample
+    spectra = []
+
+    def recording_entropy(p):
+        spectra.append(p)
+        return entropy_from_squared_schmidt(p)
+
+    monkeypatch.setattr(sampling, "entropy_from_squared_schmidt", recording_entropy)
+    mc_mean_entropy(k, n, seed)
+    monkeypatch.undo()
+    return np.concatenate(spectra)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 20])
+def test_mean_purity_meets_its_closed_form(monkeypatch, k):
+    # E tr rho^2 = 2D/((k+1)(D+1)) on a D-dimensional invariant subspace,
+    # here the whole space, D = (k+1)^2
+    n = 2 * BLOCK_SIZE
+    spectra = _sampled_spectra(monkeypatch, k, n, 31 + k)
+    assert spectra.shape == (n, k + 1)
+    assert np.allclose(spectra.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+    purity = np.sum(spectra**2, axis=1)
+    stderr = purity.std(ddof=1) / math.sqrt(n)
+    assert abs(purity.mean() - 2 * (k + 1) / ((k + 1) ** 2 + 1)) <= 5 * stderr
+
+
+def test_largest_schmidt_weight_has_the_law_of_uniform_states(monkeypatch):
+    # the bidiagonal model against normalized complex Gaussian coefficients
+    k, n = 2, BLOCK_SIZE
+    model = _sampled_spectra(monkeypatch, k, n, 5).max(axis=1)
+    rng = np.random.default_rng(6)
+    direct = [np.linalg.svd(sample_uniform_state(k, rng).coeffs, compute_uv=False)[0] ** 2
+              for _ in range(n)]
+    assert ks_2samp(model, direct).pvalue > 1e-3
+
+
+def test_mc_matches_page_oracle_on_the_serial_levels():
+    # above level 63 the blocks run on one thread
+    estimate = mc_mean_entropy(80, BLOCK_SIZE, 2026)
+    assert abs(estimate.mean - page_mean(81)) <= 5 * estimate.stderr
 
 
 def test_blocks_are_processed_in_bounded_chunks(monkeypatch):

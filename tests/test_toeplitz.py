@@ -524,6 +524,16 @@ def test_projection_matrix_rejects_mixed_levels_naming_them():
     assert projection_matrix(kernel_basis(2)).k == 2
 
 
+def test_projection_matrix_takes_a_one_shot_iterable():
+    # an iterator used to pass the emptiness check and fail inside np.stack
+    P = projection_matrix(iter(kernel_basis(2)))
+    assert P.k == 2
+    assert np.array_equal(P.entries, projection_matrix(kernel_basis(2)).entries)
+    with pytest.raises(ValueError) as info:
+        projection_matrix(iter([]))
+    assert str(info.value) == "an orthonormal set needs at least one state"
+
+
 def test_matrix_freezes_a_copy_of_writeable_entries():
     given = np.eye(4, dtype=complex)
     T = ToeplitzMatrix(1, given)
