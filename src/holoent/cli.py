@@ -19,7 +19,12 @@ returns one record, from which both output formats are derived:
 
 Float coefficient arrays are rendered as whole rows of text in both
 formats, byte-identical to what ``csv.writer`` and ``json.dumps(indent=2)``
-write for their ``tolist()``.
+write for their ``tolist()``. ``_float_rows`` finds the nonzero cells of
+a stack of rows with one flat scan of its bit view, reprs each distinct
+value once per render (the CSV stacks of a kernel, and all JSON arrays of
+a document, share one repr cache) and writes each run of zeros as one
+cached string, with no Python loop over cells. JSON renders all arrays of
+one (width, indentation) with one such call.
 
 JSON output follows the schema shipped in schemas/output.schema.json.
 Float flags must be finite. Exit codes: 0 success, 2 usage or
@@ -38,7 +43,6 @@ import os
 import re
 import stat
 import sys
-from itertools import islice
 
 import numpy as np
 
@@ -179,42 +183,91 @@ def _table(records: list[dict]) -> dict:
     }
 
 
-def _float_rows(values: np.ndarray, sep: str):
+def _cached(cache: dict, keys: list, make) -> list:
+    """cache[key] for each key; the missing keys are made once, together, by make()."""
+    missing = list(set(keys).difference(cache))
+    if missing:
+        cache.update(zip(missing, make(missing)))
+    return list(map(cache.__getitem__, keys))
+
+
+def _reprs_of_bits(bits: list[int]):
+    """repr of each float given by its bit pattern."""
+    return map(repr, np.array(bits, np.uint64).view(float).tolist())
+
+
+def _float_rows(values: np.ndarray, sep: str, reprs: dict, runs: dict):
     """Text of each row of a 2-D float array: the repr of its cells joined by sep.
 
-    Returns an iterator that does not hold the array. The text is what
-    csv.writer and json.dumps write for the row's ``tolist()``. Kernel
-    coefficients are mostly +0.0, so a run of cells whose bit pattern is
-    0 is one string product and repr runs only on the other cells; -0.0
-    and non-finite cells are among those.
+    The text is what csv.writer and json.dumps write for the row's
+    ``tolist()``. One flat scan of the bit view finds the cells whose bit
+    pattern is not 0, so -0.0 and non-finite cells are among them and +0.0
+    cells are not. Each row is one ``sep.join`` of tokens: the repr of each
+    such cell and, for each run of +0.0 cells around them, the text of the
+    whole run.
+
+    ``reprs`` (bit pattern -> repr) and ``runs`` (run length -> text, for
+    this sep) are caches that the caller carries across calls, so each
+    distinct value is repr'd once and each run length built once per
+    render. The cache is keyed by bit pattern, so equal floats share one
+    repr; the one pair of equal floats with two patterns, +0.0 and -0.0,
+    never meets there, since +0.0 cells are runs.
+
+    Returns an iterator over the row texts. It holds a token list (one
+    reference per nonzero cell and zero run), not the array, so the caller
+    may reuse the array; the caches hold one text per distinct value and
+    run length.
     """
-    zero = "0.0" + sep
-    width = values.shape[1]
-    rows, cols = np.nonzero(values.view(np.uint64))
-    cells = zip(cols.tolist(), values[rows, cols].tolist())
+    height, width = values.shape
+    bits = values.view(np.uint64)
+    flat = np.flatnonzero(bits != 0)
+    rows, cols = np.divmod(flat, width)
+    keys, key_of_cell = np.unique(bits.take(flat), return_inverse=True)
+    texts = np.array(_cached(reprs, keys.tolist(), _reprs_of_bits), dtype=object)
+    # zero runs: before each nonzero cell, from its row's start or from the
+    # nonzero cell before it, and after each row's last nonzero cell (all
+    # of a zero row)
+    row_end = np.ones(len(rows), bool)
+    row_end[:-1] = rows[1:] != rows[:-1]
+    gaps = cols.copy()
+    gaps[1:] -= np.where(row_end[:-1], 0, cols[:-1] + 1)
+    count = np.bincount(rows, minlength=height)
+    tails = np.full(height, width)
+    tails[count > 0] = width - 1 - cols[row_end]
+    has_gap, has_tail = gaps > 0, tails > 0
+    # a row's tokens: [gap run] repr, once per nonzero cell, then [tail run]
+    sizes = count + np.bincount(rows[has_gap], minlength=height) + has_tail
+    stops = np.cumsum(sizes)
+    at = np.cumsum(1 + has_gap) - 1 + (np.cumsum(has_tail) - has_tail)[rows]
+    tokens = np.empty(stops[-1], dtype=object)
+    tokens[at] = texts[key_of_cell]
 
-    def row_text(count):
-        pieces = []
-        start = 0
-        for col, value in islice(cells, count):
-            pieces.append(zero * (col - start) + repr(value))
-            start = col + 1
-        if start < width:
-            pieces.append(zero * (width - 1 - start) + "0.0")
-        return sep.join(pieces)
+    def zero_runs(lengths):
+        return (("0.0" + sep) * (n - 1) + "0.0" for n in lengths)
 
-    return map(row_text, np.bincount(rows, minlength=len(values)).tolist())
+    tokens[at[has_gap] - 1] = _cached(runs, gaps[has_gap].tolist(), zero_runs)
+    tokens[stops[has_tail] - 1] = _cached(runs, tails[has_tail].tolist(), zero_runs)
+    tokens = tokens.tolist()
+    return map(sep.join, map(tokens.__getitem__,
+                             map(slice, (stops - sizes).tolist(), stops.tolist())))
 
 
 def _state_lines(states: list[StateTensor]):
     """CSV lines ``index,re,im,re,im,...`` of states, coefficients in C order.
 
-    A generator. States are stacked _STATE_CHUNK at a time, so no
-    (count, k+1, k+1) copy of a large basis is held beside its text.
+    A generator. States are stacked _STATE_CHUNK at a time into one reused
+    buffer, so no (count, k+1, k+1) copy of a large basis is held beside
+    its text; the repr and zero-run caches of _float_rows are carried
+    across the stacks.
     """
+    if not states:
+        return
+    reprs, runs = {}, {}
+    buffer = np.empty((min(len(states), _STATE_CHUNK), *states[0].coeffs.shape), complex)
     for first in range(0, len(states), _STATE_CHUNK):
-        stack = np.stack([state.coeffs for state in states[first:first + _STATE_CHUNK]])
-        rows = _float_rows(stack.view(float).reshape(len(stack), -1), ",")
+        chunk = states[first:first + _STATE_CHUNK]
+        stack = np.stack([state.coeffs for state in chunk], out=buffer[:len(chunk)])
+        rows = _float_rows(stack.view(float).reshape(len(chunk), -1), ",", reprs, runs)
         for index, row in enumerate(rows, first):
             yield f"{index},{row}\n"
 
@@ -408,21 +461,40 @@ def render_csv(command: str, result: dict) -> str:
 _ARRAY_PLACEHOLDER = re.compile(r'"\\u0000(\d+)"')
 
 
-def _json_array(values: np.ndarray, indent: str) -> str:
-    """json.dumps(values.tolist(), indent=2) text of a 2-D float array.
+def _json_arrays(arrays: list[np.ndarray], indents: list[str]) -> list[str]:
+    """json.dumps(values.tolist(), indent=2) text of each 2-D float array.
 
-    ``indent`` is the indentation of the line the array opens on. A
-    non-finite entry raises ValueError, as json.dumps does with
-    allow_nan=False.
+    ``indents[n]`` is the indentation of the line array n opens on. The
+    arrays of one (width, indent) are stacked and rendered by one
+    _float_rows call, with one repr cache for all of them. A non-finite
+    entry raises ValueError, as json.dumps does with allow_nan=False, for
+    the first such entry in the order of the arrays; nothing is rendered
+    then.
     """
-    finite = np.isfinite(values)
-    if not finite.all():
+    groups = {}
+    for n, (values, indent) in enumerate(zip(arrays, indents)):
+        groups.setdefault((values.shape[1], indent), []).append(n)
+    stacks = [(indent, members, np.concatenate([arrays[n] for n in members]))
+              for (_, indent), members in groups.items()]
+    if not all(np.isfinite(stack).all() for _, _, stack in stacks):
+        values = next(values for values in arrays if not np.isfinite(values).all())
         raise ValueError("Out of range float values are not JSON compliant: "
-                         + repr(float(values[~finite][0])))
-    inner = indent + "    "
-    rows = _float_rows(values, ",\n" + inner)
-    return ("[\n" + ",\n".join(f"{indent}  [\n{inner}{row}\n{indent}  ]" for row in rows)
-            + f"\n{indent}]")
+                         + repr(float(values[~np.isfinite(values)][0])))
+    texts = [""] * len(arrays)
+    reprs = {}
+    for indent, members, stack in stacks:
+        inner = indent + "    "
+        # [ [row], [row], ... ] with each bracket on its own line
+        head = f"[\n{indent}  [\n{inner}"
+        between = f"\n{indent}  ],\n{indent}  [\n{inner}"
+        tail = f"\n{indent}  ]\n{indent}]"
+        rows = list(_float_rows(stack, ",\n" + inner, reprs, {}))
+        start = 0
+        for n in members:
+            stop = start + len(arrays[n])
+            texts[n] = head + between.join(rows[start:stop]) + tail
+            start = stop
+    return texts
 
 
 def render_json(command: str, result: dict) -> str:
@@ -431,7 +503,7 @@ def render_json(command: str, result: dict) -> str:
     ``result["data"]`` may hold StateTensor, ToeplitzMatrix and ndarray
     values as they are. The record of a StateTensor or ToeplitzMatrix is
     its ``to_dict()``, with the "re" and "im" arrays rendered by
-    ``_json_array`` and spliced into the ``json.dumps`` text of the rest;
+    ``_json_arrays`` and spliced into the ``json.dumps`` text of the rest;
     an ndarray goes through ``tolist()``. Any other unknown object raises
     TypeError, and a non-finite float ValueError.
     """
@@ -459,10 +531,13 @@ def render_json(command: str, result: dict) -> str:
     }
     text = json.dumps(payload, indent=2, default=to_json, allow_nan=False)
     pieces = _ARRAY_PLACEHOLDER.split(text)
+    indents = [""] * len(arrays)
     for i in range(1, len(pieces), 2):
         line = pieces[i - 1][pieces[i - 1].rfind("\n") + 1:]
-        indent = line[:len(line) - len(line.lstrip(" "))]
-        pieces[i] = _json_array(arrays[int(pieces[i])], indent)
+        indents[int(pieces[i])] = line[:len(line) - len(line.lstrip(" "))]
+    texts = _json_arrays(arrays, indents)
+    for i in range(1, len(pieces), 2):
+        pieces[i] = texts[int(pieces[i])]
     pieces.append("\n")
     return "".join(pieces)
 

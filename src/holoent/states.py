@@ -190,10 +190,13 @@ def _mode_blocks(rows: np.ndarray):
     n = math.isqrt(rows.shape[1])
     i, j = np.divmod(np.arange(n * n), n)
     mode = i - j
-    by_mode = np.argsort(mode, kind="stable")
-    support = (rows != 0)[:, by_mode]
-    low = mode[by_mode[support.argmax(axis=1)]]
-    high = mode[by_mode[-1 - support[:, ::-1].argmax(axis=1)]]
+    # one flat scan of the support; each present row's cells form one run
+    row, col = np.divmod(np.flatnonzero(rows != 0), n * n)
+    starts = np.flatnonzero(np.diff(row, prepend=-1))
+    low = np.full(len(rows), -(n - 1))
+    high = np.full(len(rows), n - 1)
+    low[row[starts]] = np.minimum.reduceat(mode[col], starts)
+    high[row[starts]] = np.maximum.reduceat(mode[col], starts)
     order = np.argsort(low, kind="stable")
     low, reach = low[order], np.maximum.accumulate(high[order])
     bounds = [0, *(np.flatnonzero(low[1:] > reach[:-1]) + 1), len(order)]

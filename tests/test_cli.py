@@ -605,7 +605,8 @@ def command_record(*argv):
     return cli._COMMANDS[args.command](args)
 
 
-@pytest.mark.parametrize("k", range(1, 13))
+# k = 20 has 400 states, so its CSV spans several _STATE_CHUNK stacks
+@pytest.mark.parametrize("k", [*range(1, 13), 20])
 def test_kernel_output_is_byte_identical_to_the_stdlib(capsys, k):
     basis = kernel_basis(k)
     code, out, _ = run_cli(capsys, "kernel", "--k", str(k))
@@ -661,6 +662,42 @@ def test_special_coefficients_render_like_the_stdlib(capsys, monkeypatch, k):
     assert out == reference_json("kernel", {"params": {"k": k, "dim": len(states)},
                                             "data": {"k": k, "dim": len(states),
                                                      "basis": states}})
+
+
+def test_csv_renders_repeated_special_values_across_chunks(capsys, monkeypatch):
+    """Values repeat across _STATE_CHUNK stacks, which share one repr cache."""
+    k, count = 2, 2 * cli._STATE_CHUNK + 5
+    nan_a, nan_b = np.array([0x7FF8000000000001, 0xFFF8000000000002], np.uint64).view(float)
+    pool = SPECIAL_VALUES + [-0.0, 5e-324, math.inf, -math.inf] + [0.0] * 6
+    rng = np.random.default_rng(23)
+    values = rng.choice(pool, size=(count, k + 1, k + 1, 2))
+    values[3, 0, 0, 0] = nan_a  # first stack
+    values[count - 2, 1, 2, 1] = nan_b  # last stack
+    values[cli._STATE_CHUNK + 1] = 0.0  # an all-zero state in the second stack
+    # a complex view, not arithmetic, keeps each float's bits (inf * 1j has a NaN)
+    states = [StateTensor(k, v.view(complex)[..., 0]) for v in values]
+    payloads = np.array([states[3].coeffs[0, 0].real, states[-2].coeffs[1, 2].imag])
+    assert payloads.view(np.uint64).tolist() == [0x7FF8000000000001, 0xFFF8000000000002]
+    monkeypatch.setattr(cli.restriction, "kernel_basis", lambda level: states)
+    code, out, _ = run_cli(capsys, "kernel", "--k", str(k))
+    assert code == 0
+    assert out == reference_kernel_csv(k, states)
+    assert out.count("nan") == 2 and "-inf" in out and "5e-324" in out and "-0.0" in out
+
+
+def test_json_refuses_the_first_non_finite_value_in_document_order():
+    """Arrays are rendered grouped by width, but the error names the value
+    json.dumps meets first: the 4x4 inf matrix comes before the 3x3 NaN
+    state, although the 3x3 group opens the document."""
+    data = [StateTensor(2, np.eye(3) / np.sqrt(3)),
+            ToeplitzMatrix(1, np.full((4, 4), np.inf)),
+            StateTensor(2, np.full((3, 3), np.nan))]
+    result = {"params": {"k": 2}, "data": data}
+    with pytest.raises(ValueError) as expected:
+        reference_json("kernel", result)
+    assert str(expected.value).endswith("inf")
+    with pytest.raises(ValueError, match="^" + re.escape(str(expected.value)) + "$"):
+        render_json("kernel", result)
 
 
 def test_arrays_render_like_the_stdlib_at_every_depth():

@@ -407,6 +407,49 @@ def test_kernel_basis_has_one_support_block_per_nonempty_mode(k):
     assert [len(c) for _, c in blocks] == [k - abs(d) + 1 for d in range(1 - k, k)]
 
 
+def argmax_mode_blocks(rows):
+    """_mode_blocks by its earlier recipe: argmax over the mode-sorted support."""
+    n = math.isqrt(rows.shape[1])
+    mode = flat_modes(n - 1)
+    by_mode = np.argsort(mode, kind="stable")
+    support = (rows != 0)[:, by_mode]
+    low = mode[by_mode[support.argmax(axis=1)]]
+    high = mode[by_mode[-1 - support[:, ::-1].argmax(axis=1)]]
+    order = np.argsort(low, kind="stable")
+    low, reach = low[order], np.maximum.accumulate(high[order])
+    bounds = [0, *(np.flatnonzero(low[1:] > reach[:-1]) + 1), len(order)]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        cols = np.flatnonzero((mode >= low[start]) & (mode <= reach[stop - 1]))
+        yield np.sort(order[start:stop]), cols
+
+
+def assert_same_blocks(rows):
+    blocks = list(_mode_blocks(rows))
+    expected = list(argmax_mode_blocks(rows))
+    assert len(blocks) == len(expected)
+    for (row_idx, col_idx), (want_rows, want_cols) in zip(blocks, expected):
+        assert np.array_equal(row_idx, want_rows) and np.array_equal(col_idx, want_cols)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_mode_blocks_match_the_argmax_recipe_on_sparse_rows(k):
+    rng = np.random.default_rng(100 + k)
+    n = (k + 1) ** 2
+    for density in (0.02, 0.1, 0.3):
+        rows = np.where(rng.random((12, n)) < density,
+                        rng.standard_normal((12, n)) + 1j * rng.standard_normal((12, n)), 0)
+        rows[[0, 5]] = 0  # zero rows span every mode
+        rows[7, rng.integers(n)] = -0.0  # a -0.0 coefficient is not in the support
+        assert_same_blocks(rows)
+    assert_same_blocks(np.zeros((3, n), dtype=complex))
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 13, 30])
+def test_mode_blocks_match_the_argmax_recipe_on_the_kernel_bases(k):
+    for basis in (kernel_basis(k), diagonal_kernel_basis(k)):
+        assert_same_blocks(np.stack([v.coeffs.reshape(-1) for v in basis]))
+
+
 def test_projection_matrix_of_dense_random_basis_is_one_block():
     rng = np.random.default_rng(15)
     k, m = 3, 6
