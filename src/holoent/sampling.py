@@ -12,12 +12,11 @@ not stream by stream; sample_uniform_state stays the coefficient-level
 sampler. Sampling is blocked: block b of a run uses a generator seeded
 with (seed, b), and the reduction follows block order, so estimates are
 reproducible and independent of how blocks are scheduled. Blocks run
-concurrently, on up to one thread per CPU available to the process (on
-one thread above level 63, where the SVDs run on BLAS threads of their
-own). Each thread draws and processes its block in chunks of at most
-_CHUNK_COEFFS matrix entries, so its memory is bounded by the chunk size,
-not the block size. The estimate is bit-identical to a serial run of the
-blocks in order. The exact finite-dimensional mean (Page's
+concurrently at every level, on up to one thread per CPU available to
+the process. Each thread draws and processes its block in chunks of at
+most _CHUNK_COEFFS matrix entries, so its memory is bounded by the chunk
+size, not the block size. The estimate is bit-identical to a serial run
+of the blocks in order. The exact finite-dimensional mean (Page's
 harmonic-number formula) serves as the ground-truth oracle for the
 sampler.
 """
@@ -40,12 +39,6 @@ BLOCK_SIZE = 4096
 # within a block: about 600 samples at k = 20, a few MB of temporaries per
 # thread at any level.
 _CHUNK_COEFFS = 1 << 18
-# Above this level OpenBLAS runs the level-2 kernels inside each SVD on its
-# own threads (from 65 x 65 matrices), and concurrent blocks contend with
-# them: two blocks on two threads took 1.05-1.66x their serial time at
-# k = 64..200 on 2 cores, against 0.53-0.75x at k = 40..63. Higher levels
-# run their blocks on one thread.
-_CONCURRENT_LEVEL_MAX = 63
 
 
 @dataclass(frozen=True)
@@ -95,13 +88,8 @@ def _block_entropies(k: int, count: int, seed: int, block: int) -> np.ndarray:
     return values
 
 
-def _worker_count(k: int, blocks: int) -> int:
-    """Threads for a run: one per CPU available to the process, at most one per block.
-
-    One thread above _CONCURRENT_LEVEL_MAX, where the SVDs use threads of their own.
-    """
-    if k > _CONCURRENT_LEVEL_MAX:
-        return 1
+def _worker_count(blocks: int) -> int:
+    """Threads for a run: one per CPU available to the process, at most one per block."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -117,11 +105,10 @@ def mc_mean_entropy(k: int, n: int, seed: int) -> MCEstimate:
     is drawn from the bidiagonal beta = 2 Laguerre model of Dumitriu and
     Edelman (see _block_entropies): the estimate agrees in law with
     entropies of sample_uniform_state draws, not stream by stream. The
-    BLOCK_SIZE blocks run concurrently on up to one thread per available
-    CPU (on one thread for k > 63, where each SVD already uses BLAS
-    threads), each thread holding one chunk of samples at a time; results
-    are reduced in block order, so the estimate is bit-identical to
-    running the blocks serially.
+    BLOCK_SIZE blocks run concurrently at every level, on up to one thread
+    per available CPU, each thread holding one chunk of samples at a time;
+    results are reduced in block order, so the estimate is bit-identical
+    to running the blocks serially.
 
     Raises
     ------
@@ -140,7 +127,7 @@ def mc_mean_entropy(k: int, n: int, seed: int) -> MCEstimate:
         count = min(BLOCK_SIZE, n - starts[block])
         return _block_entropies(k, count, seed, block)
 
-    with ThreadPoolExecutor(max_workers=_worker_count(k, len(starts))) as pool:
+    with ThreadPoolExecutor(max_workers=_worker_count(len(starts))) as pool:
         values = np.concatenate(list(pool.map(block_entropies, range(len(starts)))))
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(n))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NotNormalized, NotOrthonormal, ZeroState
-from .sections import _check_index, _check_level
+from .sections import _check_index, _check_level, _is_finite_real
 
 # Squared Schmidt values below this are treated as exact zeros when
 # evaluating -sum(p ln p); keeps machine noise out of the entropy.
@@ -28,10 +28,13 @@ def _freeze_field(record, field: str, shape) -> None:
     """Check a level-k record and freeze its array field in place.
 
     DomainError unless record.k is a level, ValueError naming the field
-    unless the array has shape(k). A read-only complex ndarray is kept as
-    given (many records may be views into one block); anything else is copied.
+    unless the array has shape(k). The level is stored as a Python int, so
+    a NumPy-integer level still serializes. A read-only complex ndarray is
+    kept as given (many records may be views into one block); anything
+    else is copied.
     """
     _check_level(record.k)
+    object.__setattr__(record, "k", int(record.k))
     a = getattr(record, field)
     if not (isinstance(a, np.ndarray) and a.dtype == complex and not a.flags.writeable):
         a = np.array(a, dtype=complex)
@@ -41,6 +44,12 @@ def _freeze_field(record, field: str, shape) -> None:
             f"{type(record).__name__}.{field} must have shape {shape(record.k)}, got {a.shape}"
         )
     object.__setattr__(record, field, a)
+
+
+def _check_tolerance(tol) -> None:
+    """DomainError naming tol unless it is a finite real number >= 0 (see _is_finite_real)."""
+    if not (_is_finite_real(tol) and tol >= 0):
+        raise DomainError(f"tolerance must be a finite real number >= 0, got tol={tol!r}")
 
 
 @dataclass(frozen=True)
@@ -82,6 +91,11 @@ class StateTensor:
         return cls(k, np.diag(a))
 
     def is_diagonal(self, tol: float = 1e-12) -> bool:
+        """True if no off-diagonal coefficient exceeds tol in modulus.
+
+        DomainError naming tol unless it is a finite real number >= 0.
+        """
+        _check_tolerance(tol)
         off = self.coeffs - np.diag(np.diag(self.coeffs))
         return bool(np.max(np.abs(off)) <= tol) if off.size else True
 
@@ -143,7 +157,11 @@ class SchmidtData:
         return float(entropy_from_squared_schmidt(self.alphas**2))
 
     def rank(self, tol: float = 1e-8) -> int:
-        """Number of coefficients above tol times the largest one."""
+        """Number of coefficients above tol times the largest one.
+
+        DomainError naming tol unless it is a finite real number >= 0.
+        """
+        _check_tolerance(tol)
         return int(np.count_nonzero(self.alphas > tol * self.alphas[0]))
 
 
@@ -247,6 +265,15 @@ def _orthonormal_blocks(states):
     return rows, blocks
 
 
+def _check_finite_nonzero(state: StateTensor, operation: str) -> None:
+    """NotNormalized unless the state's norm is finite, ZeroState if it is below 1e-14."""
+    nrm = frobenius_norm(state)
+    if not math.isfinite(nrm):
+        raise NotNormalized(f"state norm is {nrm!r}; the {operation} needs finite coefficients")
+    if nrm < ZERO_NORM_TOL:
+        raise ZeroState(f"{operation} of the zero state is undefined")
+
+
 def schmidt(state: StateTensor) -> SchmidtData:
     """Schmidt coefficients of a state, descending.
 
@@ -256,11 +283,13 @@ def schmidt(state: StateTensor) -> SchmidtData:
 
     Raises
     ------
+    NotNormalized
+        If the norm is not finite: a NaN or infinite coefficient, or a
+        norm beyond the float range.
     ZeroState
         If the state has norm below 1e-14.
     """
-    if frobenius_norm(state) < ZERO_NORM_TOL:
-        raise ZeroState("Schmidt decomposition of the zero state is undefined")
+    _check_finite_nonzero(state, "Schmidt decomposition")
     return SchmidtData(np.linalg.svd(state.coeffs, compute_uv=False))
 
 
@@ -272,11 +301,13 @@ def partial_trace_first(state: StateTensor) -> ReducedDensity:
 
     Raises
     ------
+    NotNormalized
+        If the norm is not finite: a NaN or infinite coefficient, or a
+        norm beyond the float range.
     ZeroState
         If the state has norm below 1e-14.
     """
-    if frobenius_norm(state) < ZERO_NORM_TOL:
-        raise ZeroState("partial trace of the zero state is undefined")
+    _check_finite_nonzero(state, "partial trace")
     c = state.coeffs
     # Tracing the FIRST factor of sum C_ij C*_kl |e_i><e_k| (x) |e_j><e_l|
     # leaves rho[j, l] = sum_i C_ij conj(C_il).
@@ -312,6 +343,11 @@ def schmidt_rank(state: StateTensor, tol: float = 1e-8) -> int:
 
     Raises
     ------
+    DomainError
+        Naming tol, unless it is a finite real number >= 0 (bool excluded).
+    NotNormalized
+        If the norm is not finite: a NaN or infinite coefficient, or a
+        norm beyond the float range.
     ZeroState
         If the state has norm below 1e-14.
     """

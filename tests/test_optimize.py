@@ -325,6 +325,22 @@ def test_capped_restarts_report_their_best_iterate(k):
     assert stopped_below_best > 0
 
 
+def test_a_stalled_ascent_returns_its_best_iterate_unconverged():
+    # at k = 1 no gradient norm reaches 1e-300: the ascent climbs to ln 2
+    # and then every backtracked step fails the acceptance test
+    rows = _orthonormal_blocks(diagonal_kernel_basis(1))[0]
+    max_iters = 1000
+    x = np.random.default_rng(0).standard_normal(2)
+    x /= np.linalg.norm(x)
+    u, history, gnorm, iterations, converged = _ascend(
+        rows, x[:1] + 1j * x[1:], max_iters, 1.0, 1e-300)
+    assert not converged
+    assert iterations == len(history) - 1 < max_iters
+    value, grad = optimize._value_and_gradient(rows, u)
+    assert value == max(history) and gnorm == np.linalg.norm(grad)
+    assert abs(value - math.log(2)) <= 1e-15
+
+
 def test_equal_restart_values_report_the_lowest_restart(monkeypatch):
     # every restart returns the same value from a distinct state, so only
     # the tie rule decides which state is reported

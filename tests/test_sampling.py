@@ -151,8 +151,7 @@ def test_largest_schmidt_weight_has_the_law_of_uniform_states(monkeypatch):
     assert ks_2samp(model, direct).pvalue > 1e-3
 
 
-def test_mc_matches_page_oracle_on_the_serial_levels():
-    # above level 63 the blocks run on one thread
+def test_mc_matches_page_oracle_at_a_large_level():
     estimate = mc_mean_entropy(80, BLOCK_SIZE, 2026)
     assert abs(estimate.mean - page_mean(81)) <= 5 * estimate.stderr
 
@@ -196,24 +195,29 @@ def test_concurrent_callers_get_the_sequential_results():
 
 def test_worker_count_is_bounded_by_cpus_and_blocks():
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    assert sampling._worker_count(20, 1) == 1
-    assert sampling._worker_count(20, 10_000) == cpus
+    assert sampling._worker_count(1) == 1
+    assert sampling._worker_count(10_000) == cpus
 
 
-def test_levels_with_threaded_svds_run_on_one_thread(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+def test_large_levels_give_the_same_bits_on_one_thread_and_on_two(monkeypatch):
+    # at k = 64 each SVD may also run on BLAS threads of its own
+    k, n = 64, BLOCK_SIZE + 100
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert sampling._worker_count(sampling._CONCURRENT_LEVEL_MAX, 10) == 4
-    assert sampling._worker_count(sampling._CONCURRENT_LEVEL_MAX + 1, 10) == 1
+    estimates = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert sampling._worker_count(2) == cpus
+        estimates.append(mc_mean_entropy(k, n, seed=7))
+    assert estimates[0] == estimates[1]
 
 
 def test_worker_count_falls_back_to_cpu_count(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert sampling._worker_count(20, 10) == 3
-    assert sampling._worker_count(20, 2) == 2
+    assert sampling._worker_count(10) == 3
+    assert sampling._worker_count(2) == 2
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert sampling._worker_count(20, 10) == 1
+    assert sampling._worker_count(10) == 1
 
 
 def test_mc_matches_page_oracle():

@@ -1,5 +1,6 @@
 """Schmidt data, reduced density matrices and entropy of coefficient states."""
 
+import json
 import math
 import re
 
@@ -186,6 +187,27 @@ def test_schmidt_rank_rejects_zero_state():
         schmidt_rank(StateTensor(1, np.zeros((2, 2))))
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1, -1e-300, True, 1j, "0.1", None])
+def test_rank_and_diagonality_refuse_a_bad_tolerance(tol):
+    state = bell_vector(3)
+    for check in (schmidt(state).rank, lambda tol: schmidt_rank(state, tol), state.is_diagonal):
+        with pytest.raises(DomainError, match=re.escape(f"tol={tol!r}")):
+            check(tol)
+
+
+def test_rank_and_diagonality_accept_any_finite_tolerance_from_zero():
+    state = bell_vector(3)
+    assert schmidt_rank(state, 0) == schmidt_rank(state, np.float32(0.5)) == 2
+    assert state.is_diagonal(0) and not StateTensor(1, np.ones((2, 2)) / 2).is_diagonal(0.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [schmidt, schmidt_rank, partial_trace_first])
+def test_a_state_with_a_non_finite_coefficient_is_not_normalized(entry, value):
+    with pytest.raises(NotNormalized, match=re.escape(f"state norm is {abs(value)!r}")):
+        entry(StateTensor(1, [[value, 0], [0, 1]]))
+
+
 def test_phase_invariance():
     rng = np.random.default_rng(14)
     state = random_unit_state(3, rng)
@@ -291,6 +313,19 @@ def test_records_reject_an_array_of_the_wrong_shape_naming_the_field(record, fie
     message = f"{record.__name__}.{field} must have shape {shape}, got {wrong}"
     with pytest.raises(ValueError, match=re.escape(message)):
         record(1, np.ones(wrong))
+
+
+@LEVEL_RECORDS
+def test_records_store_a_numpy_integer_level_as_an_int(record, field, shape):
+    built = record(np.int64(1), np.ones(shape))
+    assert type(built.k) is int and built.k == 1
+
+
+def test_a_numpy_integer_level_state_round_trips_through_json():
+    for state in (kernel_basis(np.int64(2))[0], StateTensor(np.int64(1), np.eye(2))):
+        again = StateTensor.from_dict(json.loads(json.dumps(state.to_dict())))
+        assert type(again.k) is int and again.k == state.k
+        assert np.array_equal(again.coeffs, state.coeffs)
 
 
 def test_from_diagonal_needs_one_coefficient_per_basis_index():

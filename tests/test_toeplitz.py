@@ -1,6 +1,7 @@
 """Matrix elements of rational-monomial multipliers and the kernel projection."""
 
 import decimal
+import json
 import math
 import re
 from fractions import Fraction
@@ -584,6 +585,12 @@ def test_matrix_freezes_a_copy_of_writeable_entries():
     assert T.entries[0, 0] == 1.0
     assert not T.entries.flags.writeable
     assert not toeplitz_matrix(kernel_projection_symbol(), 1).entries.flags.writeable
+
+
+def test_a_numpy_integer_level_matrix_serializes():
+    symbol = kernel_projection_symbol()
+    record = toeplitz_matrix(symbol, np.int64(1)).to_dict()
+    assert json.loads(json.dumps(record)) == toeplitz_matrix(symbol, 1).to_dict()
 
 
 def test_matrix_serialization():
