@@ -1,10 +1,14 @@
 """Command-line front end: reproducible tables in CSV or JSON.
 
-Every subcommand is deterministic given its full flag set. Each ``cmd_*``
-returns one record, from which both output formats are derived:
+Every subcommand is deterministic given its full flag set: only the flags,
+and the state file they name, choose a result, and no environment
+variable is read (the seed of ``maximize`` and ``sphere-average`` is
+``--seed``, 0 by default). Each ``cmd_*`` returns one record, from which
+both output formats are derived:
 
-- ``params``: the flags and derived settings in effect, written as
-  ``# key=value`` provenance lines in CSV and as ``params`` in JSON;
+- ``params``: the flags and the fixed and derived settings in effect,
+  written as ``# key=value`` provenance lines in CSV and as ``params`` in
+  JSON;
 - ``columns``: the CSV header;
 - ``rows`` or ``lines``: the CSV body, consumed once by ``render_csv``
   (a JSON run never iterates it, so large tables are built only for
@@ -50,7 +54,8 @@ from . import optimize, restriction, sampling, toeplitz
 from .errors import HoloentError
 from .states import StateTensor, schmidt, unit_norm
 
-SEED_ENV_VAR = "HOLOENT_SEED"
+# toeplitz-check passes when the max norm of the difference is at most this
+_TOEPLITZ_CHECK_TOL = 1e-10
 # states per coefficient stack when kernel rows are rendered
 _STATE_CHUNK = 64
 # characters per write of the output text
@@ -79,23 +84,6 @@ _nonnegative_int = _checked(int, lambda v: v >= 0, "expected a nonnegative integ
 _positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0,
                            "expected a finite positive number")
 _finite_float = _checked(float, math.isfinite, "expected a finite number")
-
-
-def _resolve_seed(seed: int | None) -> int:
-    """Explicit --seed wins; otherwise the environment default, else 0.
-
-    The environment value follows the --seed rule, a nonnegative integer;
-    anything else raises ValueError naming the variable.
-    """
-    if seed is not None:
-        return seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if not env:
-        return 0
-    try:
-        return _nonnegative_int(env)
-    except (ValueError, argparse.ArgumentTypeError):
-        raise ValueError(f"{SEED_ENV_VAR} must be a nonnegative integer, got {env!r}") from None
 
 
 def _add_output_options(p: argparse.ArgumentParser) -> None:
@@ -136,19 +124,16 @@ def build_parser() -> argparse.ArgumentParser:
     defaults = optimize.OptProblem
     p.add_argument("--restarts", type=_positive_int, default=defaults.restarts)
     p.add_argument("--max-iters", type=_positive_int, default=defaults.max_iters)
-    p.add_argument("--step0", type=_positive_float, default=defaults.step0)
     p.add_argument("--tol", type=_positive_float, default=defaults.tol_grad,
                    help="gradient norm tolerance")
-    p.add_argument("--seed", type=_nonnegative_int, default=None,
-                   help=f"RNG seed; defaults to ${SEED_ENV_VAR} if set, else 0")
+    p.add_argument("--seed", type=_nonnegative_int, default=0,
+                   help="RNG seed (default: 0)")
     p.add_argument("--trace", action="store_true",
                    help="include per-restart values in JSON output")
     _add_output_options(p)
 
     p = sub.add_parser("toeplitz-check",
                        help="compare the level-1 symbol compression with the kernel projection")
-    p.add_argument("--tol", type=_positive_float, default=1e-10,
-                   help="pass threshold on the max norm")
     p.add_argument("--offset", type=_finite_float, default=None,
                    help="override the symbol's constant offset (default: -2)")
     _add_output_options(p)
@@ -157,8 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Monte-Carlo mean entropy over the unit sphere")
     p.add_argument("--k", type=_positive_int, required=True, help="section degree (level)")
     p.add_argument("--n", type=_sample_count, required=True, help="sample count (>= 100)")
-    p.add_argument("--seed", type=_nonnegative_int, default=None,
-                   help=f"RNG seed; defaults to ${SEED_ENV_VAR} if set, else 0")
+    p.add_argument("--seed", type=_nonnegative_int, default=0,
+                   help="RNG seed (default: 0)")
     _add_output_options(p)
 
     p = sub.add_parser("bk-series",
@@ -342,23 +327,21 @@ def cmd_named_vectors(args: argparse.Namespace) -> dict:
 
 
 def cmd_maximize(args: argparse.Namespace) -> dict:
-    seed = _resolve_seed(args.seed)
     problem = optimize.OptProblem(
         subspace=tuple(restriction.diagonal_kernel_basis(args.k)),
         max_iters=args.max_iters,
-        step0=args.step0,
         tol_grad=args.tol,
         restarts=args.restarts,
-        seed=seed,
+        seed=args.seed,
     )
     result = optimize.maximize(problem)
     params = {
         "k": args.k,
         "restarts": args.restarts,
         "max_iters": args.max_iters,
-        "step0": args.step0,
+        "step0": optimize.STEP0,
         "tol": args.tol,
-        "seed": seed,
+        "seed": args.seed,
     }
     row = {
         "k": args.k,
@@ -386,11 +369,11 @@ def cmd_toeplitz_check(args: argparse.Namespace) -> dict:
     compression = toeplitz.toeplitz_matrix(symbol, 1)
     projection = toeplitz.projection_matrix([restriction.bell_vector(1)])
     diff = float(np.max(np.abs(compression.entries - projection.entries)))
-    passed = diff <= args.tol
+    passed = diff <= _TOEPLITZ_CHECK_TOL
     params = {
         "k": 1,
         "offset": float(complex(symbol.offset).real),
-        "tol": args.tol,
+        "tol": _TOEPLITZ_CHECK_TOL,
         "max_diff": diff,
         "status": "PASS" if passed else "FAIL",
     }
@@ -406,8 +389,7 @@ def cmd_toeplitz_check(args: argparse.Namespace) -> dict:
 
 
 def cmd_sphere_average(args: argparse.Namespace) -> dict:
-    seed = _resolve_seed(args.seed)
-    estimate = sampling.mc_mean_entropy(args.k, args.n, seed)
+    estimate = sampling.mc_mean_entropy(args.k, args.n, args.seed)
     row = {
         "k": args.k,
         "n": args.n,
@@ -415,9 +397,9 @@ def cmd_sphere_average(args: argparse.Namespace) -> dict:
         "stderr": estimate.stderr,
         "page_exact": sampling.page_mean(args.k + 1),
         "asymptotic_prediction": sampling.asymptotic_mean_entropy(args.k),
-        "seed": seed,
+        "seed": args.seed,
     }
-    params = {"k": args.k, "n": args.n, "seed": seed}
+    params = {"k": args.k, "n": args.n, "seed": args.seed}
     return {"params": params, **_table([row]), "data": row}
 
 
@@ -461,6 +443,16 @@ def render_csv(command: str, result: dict) -> str:
 _ARRAY_PLACEHOLDER = re.compile(r'"\\u0000(\d+)"')
 
 
+def _check_finite(arrays: list[np.ndarray]) -> None:
+    """Raise json.dumps's ValueError (allow_nan=False) for the first
+    non-finite entry of the first array that holds one."""
+    for values in arrays:
+        bad = values[~np.isfinite(values)]
+        if bad.size:
+            raise ValueError("Out of range float values are not JSON compliant: "
+                             + repr(float(bad[0])))
+
+
 def _json_arrays(arrays: list[np.ndarray], indents: list[str]) -> list[str]:
     """json.dumps(values.tolist(), indent=2) text of each 2-D float array.
 
@@ -477,9 +469,7 @@ def _json_arrays(arrays: list[np.ndarray], indents: list[str]) -> list[str]:
     stacks = [(indent, members, np.concatenate([arrays[n] for n in members]))
               for (_, indent), members in groups.items()]
     if not all(np.isfinite(stack).all() for _, _, stack in stacks):
-        values = next(values for values in arrays if not np.isfinite(values).all())
-        raise ValueError("Out of range float values are not JSON compliant: "
-                         + repr(float(values[~np.isfinite(values)][0])))
+        _check_finite(arrays)
     texts = [""] * len(arrays)
     reprs = {}
     for indent, members, stack in stacks:
@@ -529,7 +519,12 @@ def render_json(command: str, result: dict) -> str:
         "params": result["params"],
         "data": result["data"],
     }
-    text = json.dumps(payload, indent=2, default=to_json, allow_nan=False)
+    try:
+        text = json.dumps(payload, indent=2, default=to_json, allow_nan=False)
+    except ValueError:
+        # the arrays placed before the value json.dumps refused come first
+        _check_finite(arrays)
+        raise
     pieces = _ARRAY_PLACEHOLDER.split(text)
     indents = [""] * len(arrays)
     for i in range(1, len(pieces), 2):

@@ -44,6 +44,7 @@ REFERENCE_DECAY = 0.85
 ARMIJO_SHRINK = 0.5
 MAX_BACKTRACKS = 60
 STEP_GROWTH = 2.0
+STEP0 = 1.0  # the first Barzilai-Borwein trial step of every ascent
 STEP_MIN = 1e-8
 STEP_MAX = 1e4
 
@@ -58,7 +59,6 @@ class OptProblem:
 
     subspace: tuple
     max_iters: int = 1000
-    step0: float = 1.0
     tol_grad: float = 1e-8
     restarts: int = 16
     seed: int = 0
@@ -67,10 +67,10 @@ class OptProblem:
     def __post_init__(self):
         object.__setattr__(self, "subspace", tuple(self.subspace))
         object.__setattr__(self, "basis", _orthonormal_blocks(self.subspace)[0])
-        for name in ("max_iters", "restarts", "seed", "step0", "tol_grad"):
+        for name in ("max_iters", "restarts", "seed", "tol_grad"):
             value = getattr(self, name)
             # only the seed may be 0
-            valid = (_is_positive_real(value) if name in ("step0", "tol_grad")
+            valid = (_is_positive_real(value) if name == "tol_grad"
                      else _is_integer(value, 0 if name == "seed" else 1))
             if not valid:
                 raise DomainError(f"invalid optimizer settings: {name}={value!r}")
@@ -148,7 +148,7 @@ def entropy_and_gradient(subspace, coords):
     return value, grad.real if real_only else np.concatenate([grad.real, grad.imag])
 
 
-def _ascend(basis, u0, max_iters, step0, tol_grad):
+def _ascend(basis, u0, max_iters, tol_grad):
     """Run one ascent from u0; returns (u, history, grad_norm, iterations, converged).
 
     ``history`` holds the value of every accepted iterate, the start
@@ -161,7 +161,7 @@ def _ascend(basis, u0, max_iters, step0, tol_grad):
     f, g = _value_and_gradient(basis, u)
     history = [f]
     best = (f, u, g)
-    trial = step0
+    trial = STEP0
     # Zhang-Hager reference C, the q-weighted average of accepted values
     ref, q = f, 1.0
     while True:
@@ -222,8 +222,7 @@ def maximize(problem: OptProblem) -> OptResult:
         x = rng.standard_normal(2 * m)
         x /= np.linalg.norm(x)
         u, history, gnorm, iters, converged = _ascend(
-            basis, x[:m] + 1j * x[m:], problem.max_iters, problem.step0, problem.tol_grad
-        )
+            basis, x[:m] + 1j * x[m:], problem.max_iters, problem.tol_grad)
         records.append((history[-1] if converged else max(history), u, gnorm, iters, converged))
     # max keeps the first of equal values
     value, u, gnorm, iters, _ = max(records, key=lambda record: record[0])

@@ -195,6 +195,7 @@ def fit_tail(pairs) -> tuple[float, float]:
     SingularFit
         With fewer than 3 distinct levels, or a rank-deficient design.
     """
+    pairs = list(pairs)  # a one-shot iterable is read once
     for k, mean in pairs:
         _check_level(k)
         if not _is_finite_real(mean):

@@ -22,6 +22,8 @@ ENTROPY_ZERO_FLOOR = 1e-14
 NORM_TOL = 1e-10
 ZERO_NORM_TOL = 1e-14
 ORTHONORMAL_TOL = 1e-10
+# Schmidt coefficients above this times the largest one count toward the rank
+RANK_TOL = 1e-8
 
 
 def _freeze_field(record, field: str, shape) -> None:
@@ -156,7 +158,7 @@ class SchmidtData:
         """-sum a^2 ln(a^2) over the coefficients, squares below 1e-14 dropped."""
         return float(entropy_from_squared_schmidt(self.alphas**2))
 
-    def rank(self, tol: float = 1e-8) -> int:
+    def rank(self, tol: float = RANK_TOL) -> int:
         """Number of coefficients above tol times the largest one.
 
         DomainError naming tol unless it is a finite real number >= 0.
@@ -336,7 +338,7 @@ def entanglement_entropy(state: StateTensor) -> float:
     return schmidt(state).entropy()
 
 
-def schmidt_rank(state: StateTensor, tol: float = 1e-8) -> int:
+def schmidt_rank(state: StateTensor, tol: float = RANK_TOL) -> int:
     """Number of Schmidt coefficients above tol times the largest one.
 
     Rank 1 characterizes decomposable (product) states.

@@ -229,28 +229,37 @@ def test_sphere_average_rejects_small_n(capsys):
     assert excinfo.value.code == 2
 
 
-def test_seed_env_var_used_when_flag_absent(capsys, monkeypatch):
+def test_no_environment_variable_chooses_the_seed(capsys, monkeypatch):
+    args = ("sphere-average", "--k", "1", "--n", "300")
+    plain = run_cli(capsys, *args)
     monkeypatch.setenv("HOLOENT_SEED", "7")
-    _, from_env, _ = run_cli(capsys, "sphere-average", "--k", "1", "--n", "300")
-    monkeypatch.delenv("HOLOENT_SEED")
-    _, explicit, _ = run_cli(capsys, "sphere-average", "--k", "1", "--n", "300", "--seed", "7")
-    assert from_env == explicit
+    assert run_cli(capsys, *args) == plain
+    assert parse_csv(plain[1])[0]["seed"] == "0"
 
 
-def test_explicit_seed_beats_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("HOLOENT_SEED", "7")
-    _, out, _ = run_cli(capsys, "sphere-average", "--k", "1", "--n", "300", "--seed", "9")
-    comments, _, _ = parse_csv(out)
-    assert comments["seed"] == "9"
+def test_maximize_provenance_records_every_setting(capsys):
+    code, out, _ = run_cli(capsys, "maximize", "--k", "3", "--seed", "0")
+    assert code == 0
+    assert out.splitlines()[:7] == [
+        "# command=maximize", "# k=3", "# restarts=16", "# max_iters=1000",
+        "# step0=1.0", "# tol=1e-08", "# seed=0",
+    ]
+    code, out, _ = run_cli(capsys, "maximize", "--k", "3", "--seed", "0", "--format", "json")
+    assert code == 0
+    assert validate_json(out)["params"] == {
+        "k": 3, "restarts": 16, "max_iters": 1000, "step0": 1.0, "tol": 1e-08, "seed": 0,
+    }
 
 
-@pytest.mark.parametrize("value", ["-1", "1.5", "abc"])
-def test_invalid_seed_env_var_is_a_usage_error_naming_it(capsys, monkeypatch, value):
-    monkeypatch.setenv("HOLOENT_SEED", value)
-    code, out, err = run_cli(capsys, "sphere-average", "--k", "1", "--n", "300")
-    assert code == 2
-    assert out == ""
-    assert "HOLOENT_SEED must be a nonnegative integer" in err
+@pytest.mark.parametrize("argv", [
+    ("maximize", "--k", "2", "--step0", "1.0"),
+    ("toeplitz-check", "--tol", "1e-10"),
+])
+def test_removed_settings_are_unknown_arguments(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
 def test_entropy_command_reads_state_file(capsys, tmp_path):
@@ -478,12 +487,12 @@ NAN_STATE = '{"k": 1, "re": [[NaN, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, I
 @pytest.mark.parametrize("argv", [
     ("toeplitz-check", "--offset", "nan", "--format", "json"),
     ("toeplitz-check", "--offset", "-inf"),
-    ("toeplitz-check", "--tol", "nan"),
-    ("toeplitz-check", "--tol", "0"),
+    ("maximize", "--k", "2", "--tol", "0"),
+    ("maximize", "--k", "2", "--tol", "-1"),
     ("maximize", "--k", "2", "--tol", "nan", "--format", "json"),
     ("maximize", "--k", "2", "--tol", "inf"),
-    ("maximize", "--k", "2", "--step0", "nan"),
-    ("maximize", "--k", "2", "--step0", "-1"),
+    ("toeplitz-check", "--offset", "inf"),
+    ("maximize", "--k", "2", "--tol", "-inf"),
     ("entropy", "--state", "{state}", "--restriction", "--format", "json"),
     ("entropy", "--state", "{state}"),
 ])
@@ -617,6 +626,14 @@ def test_kernel_output_is_byte_identical_to_the_stdlib(capsys, k):
     assert out == reference_json("kernel", command_record("kernel", "--k", str(k)))
 
 
+def test_kernel_csv_at_level_40_is_byte_identical_to_the_stdlib(capsys):
+    # 1600 states: the CSV spans 25 stacks of the renderer, which share one
+    # repr cache
+    code, out, _ = run_cli(capsys, "kernel", "--k", "40")
+    assert code == 0
+    assert out == reference_kernel_csv(40, kernel_basis(40))
+
+
 @pytest.mark.parametrize("argv", [
     ("named-vectors", "--k", "6"),
     ("maximize", "--k", "3", "--seed", "1", "--restarts", "3", "--trace"),
@@ -698,6 +715,19 @@ def test_json_refuses_the_first_non_finite_value_in_document_order():
     assert str(expected.value).endswith("inf")
     with pytest.raises(ValueError, match="^" + re.escape(str(expected.value)) + "$"):
         render_json("kernel", result)
+
+
+def test_a_non_finite_array_before_a_non_finite_scalar_is_named_first():
+    """json.dumps meets the inf coefficient of "a" before the NaN of "b";
+    the arrays are checked only after json.dumps, so its error for "b"
+    must not win."""
+    data = {"a": StateTensor(1, [[np.inf, 0], [0, 1]]), "b": math.nan}
+    result = {"params": {"k": 1}, "data": data}
+    with pytest.raises(ValueError) as expected:
+        reference_json("entropy", result)
+    assert str(expected.value).endswith("inf")
+    with pytest.raises(ValueError, match="^" + re.escape(str(expected.value)) + "$"):
+        render_json("entropy", result)
 
 
 def test_arrays_render_like_the_stdlib_at_every_depth():

@@ -264,7 +264,7 @@ def test_ascent_values_clear_the_nonmonotone_reference(k):
         u0 = rng.standard_normal(2 * m)
         u0 /= np.linalg.norm(u0)
         _, history, _, iterations, converged = _ascend(
-            rows, u0[:m] + 1j * u0[m:], 200, 1.0, 1e-8)
+            rows, u0[:m] + 1j * u0[m:], 200, 1e-8)
         assert iterations == len(history) - 1
         ref, q = history[0], 1.0
         for value in history[1:]:
@@ -312,7 +312,7 @@ def test_capped_restarts_report_their_best_iterate(k):
             x = np.random.default_rng(seed + r).standard_normal(2 * m)
             x /= np.linalg.norm(x)
             u, history, gnorm, iterations, converged = _ascend(
-                rows, x[:m] + 1j * x[m:], max_iters, 1.0, 1e-8)
+                rows, x[:m] + 1j * x[m:], max_iters, 1e-8)
             # no ascent stalls here, so an unconverged one ran to the cap
             assert iterations == len(history) - 1 <= max_iters
             assert converged or iterations == max_iters
@@ -333,7 +333,7 @@ def test_a_stalled_ascent_returns_its_best_iterate_unconverged():
     x = np.random.default_rng(0).standard_normal(2)
     x /= np.linalg.norm(x)
     u, history, gnorm, iterations, converged = _ascend(
-        rows, x[:1] + 1j * x[1:], max_iters, 1.0, 1e-300)
+        rows, x[:1] + 1j * x[1:], max_iters, 1e-300)
     assert not converged
     assert iterations == len(history) - 1 < max_iters
     value, grad = optimize._value_and_gradient(rows, u)
@@ -394,6 +394,11 @@ def test_maximize_certifies_a_non_diagonal_best_state():
     assert result.critical_residual == critical_residual(result.best_state)
 
 
+def test_the_first_trial_step_is_not_a_setting():
+    with pytest.raises(TypeError, match="step0"):
+        OptProblem(subspace=tuple(diagonal_kernel_basis(2)), step0=1.0)
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         OptProblem(subspace=())
@@ -406,9 +411,9 @@ def test_problem_validation():
     {"tol_grad": math.nan},
     {"tol_grad": math.inf},
     {"tol_grad": 0.0},
-    {"step0": math.nan},
-    {"step0": math.inf},
-    {"step0": -1.0},
+    {"tol_grad": -math.inf},
+    {"tol_grad": -0.0},
+    {"tol_grad": -1.0},
     {"max_iters": 0},
     {"max_iters": 2.5},
     {"restarts": 0},
@@ -417,12 +422,12 @@ def test_problem_validation():
     {"seed": -1},
     {"seed": 2.5},
     # not real numbers: math.isfinite raised a bare TypeError, or took True as 1.0
-    {"step0": "1"},
-    {"step0": True},
+    {"tol_grad": "1"},
+    {"tol_grad": True},
     {"tol_grad": None},
     {"tol_grad": 1e-8 + 0j},
     # beyond the float range: math.isfinite raised a bare OverflowError
-    {"step0": Fraction(10**400)},
+    {"tol_grad": Fraction(10**400)},
 ])
 def test_problem_rejects_non_finite_or_non_positive_settings(settings):
     with pytest.raises(ValueError, match="invalid optimizer settings"):

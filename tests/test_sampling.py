@@ -295,6 +295,13 @@ def test_fit_tail_on_exact_oracle():
     assert 0.9 <= c1 <= 1.1
 
 
+def test_fit_tail_reads_a_generator_like_a_list():
+    # the validation pass used up a generator before the fit read it
+    levels = (8, 16, 32, 64)
+    fitted = fit_tail((k, page_mean(k + 1)) for k in levels)
+    assert fitted == fit_tail([(k, page_mean(k + 1)) for k in levels])
+
+
 @pytest.mark.parametrize("mean", [math.nan, math.inf, True, 1j, "0.5"], ids=repr)
 def test_fit_tail_refuses_a_mean_that_is_not_a_finite_real(mean):
     # a NaN mean came back as (nan, nan)
