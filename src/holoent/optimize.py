@@ -8,16 +8,16 @@ accepted values, rather than against the current value: the ascent may
 dip on the way, never below its start, and it is not cut back where the
 maximum is degenerate (k = 2) or where the required increase falls below
 the rounding of the entropy near a critical point. The ascent runs in complex
-coordinates c over one (m, (k+1)^2) matrix of flattened orthonormal basis
-states; under the real inner product Re<x, y> that is the Euclidean
-geometry of the 2m real and imaginary parts. Restarts are independently
-seeded, so results are reproducible and restart loops may be distributed
-without changing the reported optimum.
+coordinates c over the mode blocks of the orthonormal basis, as the
+projection does (see states._orthonormal_blocks); under the real inner
+product Re<x, y> that is the Euclidean geometry of the 2m real and
+imaginary parts. Restarts are independently seeded, so results are
+reproducible and restart loops may be distributed without changing the
+reported optimum.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -53,8 +53,8 @@ STEP_MAX = 1e4
 class OptProblem:
     """Maximization setup over the unit sphere of an orthonormal subspace.
 
-    ``basis`` is derived, not set: the read-only matrix whose rows are the
-    flattened subspace states (see states._orthonormal_blocks).
+    ``blocks`` is derived, not set: the subspace's mode blocks, read-only
+    (rows, cols, submatrix) triples (see states._orthonormal_blocks).
     """
 
     subspace: tuple
@@ -62,11 +62,11 @@ class OptProblem:
     tol_grad: float = 1e-8
     restarts: int = 16
     seed: int = 0
-    basis: np.ndarray = field(init=False, repr=False, compare=False)
+    blocks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "subspace", tuple(self.subspace))
-        object.__setattr__(self, "basis", _orthonormal_blocks(self.subspace)[0])
+        object.__setattr__(self, "blocks", _orthonormal_blocks(self.subspace)[1])
         for name in ("max_iters", "restarts", "seed", "tol_grad"):
             value = getattr(self, name)
             # only the seed may be 0
@@ -93,19 +93,30 @@ class OptResult:
     restart_values: tuple
 
 
-def _value_and_gradient(basis, coords, warn_degenerate=False):
-    """Entropy of the state coords @ basis and its tangential gradient at coords."""
-    n = math.isqrt(basis.shape[1])
-    u, sig, vh = np.linalg.svd((coords @ basis).reshape(n, n))
+def _coefficients(k, blocks, coords):
+    """Coefficient matrix sum_i coords_i B_i of the level-k states, filled block by block."""
+    flat = np.zeros((k + 1) ** 2, dtype=complex)
+    for rows, cols, block in blocks:
+        flat[cols] = coords[rows] @ block
+    return flat.reshape(k + 1, k + 1)
+
+
+def _value_and_gradient(k, blocks, coords, warn_degenerate=False):
+    """Entropy of the state sum_i coords_i B_i and its tangential gradient at coords."""
+    u, sig, vh = np.linalg.svd(_coefficients(k, blocks, coords))
     if warn_degenerate and sig.size > 1 and np.min(np.abs(np.diff(sig))) < DEGENERACY_GAP:
         warnings.warn("Schmidt values collide; gradient is a subgradient choice",
                       DegenerateSpectrum, stacklevel=3)
     value = float(entropy_from_squared_schmidt(sig**2))
     # dS = sum_j w_j d sigma_j = Re<G, dM> with G = U diag(w) V^H and
     # w_j = -2 sigma_j (ln sigma_j^2 + 1); dM = sum_i dc_i B_i, so the
-    # gradient under Re<x, y> has entries <B_i, G> = sum conj(B_i) G
+    # gradient under Re<x, y> has entries <B_i, G> = sum conj(B_i) G, over
+    # the columns of B_i's block
     weights = -2.0 * sig * (np.log(np.maximum(sig**2, GRAD_LOG_FLOOR)) + 1.0)
-    grad = basis.conj() @ ((u * weights) @ vh).reshape(-1)
+    g = ((u * weights) @ vh).reshape(-1)
+    grad = np.empty(len(coords), dtype=complex)
+    for rows, cols, block in blocks:
+        grad[rows] = block.conj() @ g[cols]
     grad = grad - np.vdot(coords, grad).real * coords
     return value, grad
 
@@ -131,7 +142,8 @@ def entropy_and_gradient(subspace, coords):
         If the coordinate vector is not unit within 1e-10 (states.NORM_TOL),
         or its norm is NaN.
     """
-    basis = _orthonormal_blocks(subspace)[0]
+    subspace = tuple(subspace)
+    k, blocks = _orthonormal_blocks(subspace)
     if np.iscomplexobj(coords):
         raise DomainError("coords must be real; pass complex weights as the 2m real and "
                           "imaginary parts")
@@ -139,16 +151,16 @@ def entropy_and_gradient(subspace, coords):
     nrm = np.linalg.norm(coords)
     if not abs(nrm - 1.0) <= NORM_TOL:
         raise NotNormalized(f"coordinate norm is {nrm!r}")
-    m = len(basis)
+    m = len(subspace)
     if coords.shape not in ((m,), (2 * m,)):
         raise ValueError(f"coordinate vector must have length {m} or {2 * m}")
     real_only = coords.shape == (m,)
     c = coords.astype(complex) if real_only else coords[:m] + 1j * coords[m:]
-    value, grad = _value_and_gradient(basis, c, warn_degenerate=True)
+    value, grad = _value_and_gradient(k, blocks, c, warn_degenerate=True)
     return value, grad.real if real_only else np.concatenate([grad.real, grad.imag])
 
 
-def _ascend(basis, u0, max_iters, tol_grad):
+def _ascend(k, blocks, u0, max_iters, tol_grad):
     """Run one ascent from u0; returns (u, history, grad_norm, iterations, converged).
 
     ``history`` holds the value of every accepted iterate, the start
@@ -158,7 +170,7 @@ def _ascend(basis, u0, max_iters, tol_grad):
     below it; ``grad_norm`` is the gradient norm at ``u``.
     """
     u = u0
-    f, g = _value_and_gradient(basis, u)
+    f, g = _value_and_gradient(k, blocks, u)
     history = [f]
     best = (f, u, g)
     trial = STEP0
@@ -174,7 +186,7 @@ def _ascend(basis, u0, max_iters, tol_grad):
         for _ in range(MAX_BACKTRACKS):
             cand = u + step * g
             cand = cand / np.linalg.norm(cand)
-            f_new, g_new = _value_and_gradient(basis, cand)
+            f_new, g_new = _value_and_gradient(k, blocks, cand)
             if f_new >= ref + ARMIJO_C * step * gnorm * gnorm:
                 break
             step *= ARMIJO_SHRINK
@@ -214,21 +226,20 @@ def maximize(problem: OptProblem) -> OptResult:
     The result is flagged as not converged when no restart reached the
     gradient tolerance.
     """
-    basis = problem.basis
-    m = len(basis)
+    k = problem.subspace[0].k
+    m = len(problem.subspace)
     records = []  # (value, u, grad_norm, iterations, converged) per restart
     for r in range(problem.restarts):
         rng = np.random.default_rng(problem.seed + r)
         x = rng.standard_normal(2 * m)
         x /= np.linalg.norm(x)
         u, history, gnorm, iters, converged = _ascend(
-            basis, x[:m] + 1j * x[m:], problem.max_iters, problem.tol_grad)
+            k, problem.blocks, x[:m] + 1j * x[m:], problem.max_iters, problem.tol_grad)
         records.append((history[-1] if converged else max(history), u, gnorm, iters, converged))
     # max keeps the first of equal values
     value, u, gnorm, iters, _ = max(records, key=lambda record: record[0])
-    coeffs = u @ basis
-    k = problem.subspace[0].k
-    state = StateTensor(k, (coeffs / np.linalg.norm(coeffs)).reshape(k + 1, k + 1))
+    coeffs = _coefficients(k, problem.blocks, u)
+    state = StateTensor(k, coeffs / np.linalg.norm(coeffs))
     return OptResult(
         best_value=value,
         best_state=state,

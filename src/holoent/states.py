@@ -145,12 +145,23 @@ def _coefficient_field(record: dict, field: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SchmidtData:
-    """Descending nonnegative Schmidt coefficients of a state."""
+    """Descending nonnegative Schmidt coefficients of a state.
+
+    ValueError naming alphas unless they form a nonempty, 1-D, finite,
+    nonnegative and non-increasing array.
+    """
 
     alphas: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.alphas, dtype=float)
+        try:
+            a = np.array(self.alphas, dtype=float)
+        except (TypeError, ValueError):
+            a = None
+        if not (a is not None and a.ndim == 1 and a.size and np.all(np.isfinite(a))
+                and a[-1] >= 0 and np.all(a[1:] <= a[:-1])):
+            raise ValueError("alphas must be a nonempty 1-D array of finite, nonnegative, "
+                             f"non-increasing values, got {self.alphas!r}")
         a.setflags(write=False)
         object.__setattr__(self, "alphas", a)
 
@@ -226,15 +237,17 @@ def _mode_blocks(rows: np.ndarray):
 
 
 def _orthonormal_blocks(states):
-    """Check an orthonormal set; return its rows and, per mode block, (columns, submatrix).
+    """Check an orthonormal set; return its level k and its mode blocks.
 
     The set may be any iterable of states, a one-shot iterator included.
-    The rows are the read-only (m, (k+1)^2) complex matrix of the flattened
-    states, at the level k they share. A block is a maximal run of states
-    whose mode ranges [lowest i - j, highest i - j] over their nonzero
-    coefficients chain-overlap (see _mode_blocks). States in different
-    blocks share no coefficient, so the Gram matrix is block diagonal
-    (entries between blocks are exactly 0) and is checked block by block.
+    A block is a maximal run of states whose mode ranges [lowest i - j,
+    highest i - j] over their nonzero coefficients chain-overlap (see
+    _mode_blocks), as the read-only triple (rows, cols, submatrix): its
+    states' indices in the set, which blocks partition, the flat indices
+    i(k+1) + j it owns, off which its states vanish, and their
+    coefficients there. Blocks share no coefficient, so the Gram matrix
+    is block diagonal (entries between blocks are exactly 0) and is
+    checked block by block. A dense set is one block.
 
     Raises
     ------
@@ -259,12 +272,13 @@ def _orthonormal_blocks(states):
         block = rows[row_idx[:, None], col_idx]
         gram = block.conj() @ block.T
         defects.append(np.max(np.abs(gram - np.eye(len(block)))))
-        blocks.append((col_idx, block))
+        for a in (row_idx, col_idx, block):
+            a.setflags(write=False)
+        blocks.append((row_idx, col_idx, block))
     defect = float(np.max(defects))  # np.max, not max(): a NaN defect must survive
     if not defect <= ORTHONORMAL_TOL:
         raise NotOrthonormal(f"basis Gram matrix deviates from identity by {defect:.3e}")
-    rows.setflags(write=False)
-    return rows, blocks
+    return levels[0], tuple(blocks)
 
 
 def _check_finite_nonzero(state: StateTensor, operation: str) -> None:

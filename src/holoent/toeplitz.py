@@ -16,7 +16,6 @@ k = 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -239,11 +238,10 @@ def projection_matrix(basis: list[StateTensor]) -> ToeplitzMatrix:
         If the basis is empty, at mixed levels or not orthonormal (see
         states._orthonormal_blocks); P is at the level its states share.
     """
-    rows, blocks = _orthonormal_blocks(basis)
-    n = rows.shape[1]
-    del rows  # they would coexist with P
+    k, blocks = _orthonormal_blocks(basis)
+    n = (k + 1) ** 2
     entries = np.zeros((n, n), dtype=complex)
-    for cols, block in blocks:
+    for _, cols, block in blocks:
         entries[cols[:, None], cols] = block.T @ block.conj()
     entries.setflags(write=False)  # frozen here, so ToeplitzMatrix needs no copy
-    return ToeplitzMatrix(math.isqrt(n) - 1, entries)
+    return ToeplitzMatrix(k, entries)

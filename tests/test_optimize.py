@@ -155,22 +155,24 @@ def test_gradient_matches_finite_differences(k):
 @pytest.mark.parametrize("k", list(range(1, 13)))
 def test_gradient_matches_realified_reference(k, build):
     # a random unitary mix of the real kernel states spans the same
-    # subspace through a complex orthonormal basis
+    # subspace through a complex orthonormal basis, one dense mode block;
+    # the states themselves and their reversal split into blocks by mode,
+    # and reversed, the blocks' rows run against the blocks' mode order
     rng = np.random.default_rng(300 + k)
     basis = build(k)
     m = len(basis)
     mix, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
     stack = np.tensordot(mix, np.stack([v.coeffs for v in basis]), axes=1)
-    subspace = [StateTensor(k, c) for c in stack]
-    for size in (m, 2 * m) * 3:
-        coords = rng.standard_normal(size)
-        coords /= np.linalg.norm(coords)
-        value, grad = entropy_and_gradient(subspace, coords)
-        ref_value, ref_grad = realified_entropy_and_gradient(subspace, coords)
-        assert grad.shape == coords.shape and grad.dtype == float
-        assert abs(value - ref_value) <= 1e-12
-        scale = max(1.0, float(np.linalg.norm(ref_grad)))
-        assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * scale
+    for subspace in ([StateTensor(k, c) for c in stack], basis, basis[::-1]):
+        for size in (m, 2 * m) * 3:
+            coords = rng.standard_normal(size)
+            coords /= np.linalg.norm(coords)
+            value, grad = entropy_and_gradient(subspace, coords)
+            ref_value, ref_grad = realified_entropy_and_gradient(subspace, coords)
+            assert grad.shape == coords.shape and grad.dtype == float
+            assert abs(value - ref_value) <= 1e-12
+            scale = max(1.0, float(np.linalg.norm(ref_grad)))
+            assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * scale
 
 
 def test_gradient_rejects_non_orthonormal_subspace():
@@ -257,14 +259,14 @@ def test_maximize_invariant_under_global_phase_of_basis():
 @pytest.mark.parametrize("k", [2, 5, 20])
 def test_ascent_values_clear_the_nonmonotone_reference(k):
     basis = diagonal_kernel_basis(k)
-    rows = _orthonormal_blocks(basis)[0]
+    _, blocks = _orthonormal_blocks(basis)
     m = len(basis)
     rng = np.random.default_rng(8)
     for _ in range(5):
         u0 = rng.standard_normal(2 * m)
         u0 /= np.linalg.norm(u0)
         _, history, _, iterations, converged = _ascend(
-            rows, u0[:m] + 1j * u0[m:], 200, 1e-8)
+            k, blocks, u0[:m] + 1j * u0[m:], 200, 1e-8)
         assert iterations == len(history) - 1
         ref, q = history[0], 1.0
         for value in history[1:]:
@@ -301,7 +303,7 @@ def test_every_sweep_restart_converges(monkeypatch):
 @pytest.mark.parametrize("k", [2, 3, 10])
 def test_capped_restarts_report_their_best_iterate(k):
     basis = diagonal_kernel_basis(k)
-    rows = _orthonormal_blocks(basis)[0]
+    _, blocks = _orthonormal_blocks(basis)
     m = len(basis)
     seed, restarts = 0, 16
     stopped_below_best = 0
@@ -312,11 +314,11 @@ def test_capped_restarts_report_their_best_iterate(k):
             x = np.random.default_rng(seed + r).standard_normal(2 * m)
             x /= np.linalg.norm(x)
             u, history, gnorm, iterations, converged = _ascend(
-                rows, x[:m] + 1j * x[m:], max_iters, 1e-8)
+                k, blocks, x[:m] + 1j * x[m:], max_iters, 1e-8)
             # no ascent stalls here, so an unconverged one ran to the cap
             assert iterations == len(history) - 1 <= max_iters
             assert converged or iterations == max_iters
-            value, grad = optimize._value_and_gradient(rows, u)
+            value, grad = optimize._value_and_gradient(k, blocks, u)
             assert reported == (history[-1] if converged else max(history))
             assert value == reported and gnorm == np.linalg.norm(grad)
             stopped_below_best += history[-1] < max(history)
@@ -328,15 +330,15 @@ def test_capped_restarts_report_their_best_iterate(k):
 def test_a_stalled_ascent_returns_its_best_iterate_unconverged():
     # at k = 1 no gradient norm reaches 1e-300: the ascent climbs to ln 2
     # and then every backtracked step fails the acceptance test
-    rows = _orthonormal_blocks(diagonal_kernel_basis(1))[0]
+    k, blocks = _orthonormal_blocks(diagonal_kernel_basis(1))
     max_iters = 1000
     x = np.random.default_rng(0).standard_normal(2)
     x /= np.linalg.norm(x)
     u, history, gnorm, iterations, converged = _ascend(
-        rows, x[:1] + 1j * x[1:], max_iters, 1e-300)
+        k, blocks, x[:1] + 1j * x[1:], max_iters, 1e-300)
     assert not converged
     assert iterations == len(history) - 1 < max_iters
-    value, grad = optimize._value_and_gradient(rows, u)
+    value, grad = optimize._value_and_gradient(k, blocks, u)
     assert value == max(history) and gnorm == np.linalg.norm(grad)
     assert abs(value - math.log(2)) <= 1e-15
 
@@ -348,7 +350,7 @@ def test_equal_restart_values_report_the_lowest_restart(monkeypatch):
     m = len(basis)
     calls = []
 
-    def tied(rows, u0, *settings):
+    def tied(k, blocks, u0, *settings):
         u = np.zeros(m, dtype=complex)
         u[len(calls)] = 1.0
         calls.append(u)
@@ -377,14 +379,24 @@ def test_no_convergence_is_flagged_not_fatal():
 
 
 def test_best_state_is_unit_and_in_subspace():
-    basis = diagonal_kernel_basis(5)
-    result = maximize(OptProblem(subspace=tuple(basis), seed=11))
-    state = result.best_state
-    assert abs(np.linalg.norm(state.coeffs) - 1.0) < 1e-12
-    vectors = np.column_stack([v.coeffs.reshape(-1) for v in basis])
-    flat = state.coeffs.reshape(-1)
-    inside = vectors @ (vectors.conj().T @ flat)
-    assert np.linalg.norm(inside - flat) < 1e-9
+    for basis in (diagonal_kernel_basis(5), kernel_basis(3)):
+        result = maximize(OptProblem(subspace=tuple(basis), seed=11))
+        state = result.best_state
+        assert abs(np.linalg.norm(state.coeffs) - 1.0) < 1e-12
+        vectors = np.column_stack([v.coeffs.reshape(-1) for v in basis])
+        flat = state.coeffs.reshape(-1)
+        inside = vectors @ (vectors.conj().T @ flat)
+        assert np.linalg.norm(inside - flat) < 1e-9
+
+
+@pytest.mark.parametrize("k", [6, 20, 40])
+def test_the_full_kernel_reaches_the_maximal_entropy(k):
+    # the kernel holds max_entropy_vector(k), whose entropy ln(k+1) is the
+    # largest of any level-k state
+    result = maximize(OptProblem(subspace=tuple(kernel_basis(k)), restarts=2))
+    assert result.converged
+    assert abs(result.best_value - math.log(k + 1)) <= 1e-12
+    assert abs(entanglement_entropy(result.best_state) - math.log(k + 1)) <= 1e-12
 
 
 def test_maximize_certifies_a_non_diagonal_best_state():

@@ -14,6 +14,7 @@ from holoent import (
     NotNormalized,
     NotOrthonormal,
     ReducedDensity,
+    SchmidtData,
     StateTensor,
     ToeplitzMatrix,
     ZeroState,
@@ -367,13 +368,33 @@ def test_schmidt_data_gives_entropy_and_rank_of_its_state():
     assert decomposition.rank(tol=2.0) == 0
 
 
-def test_orthonormal_rows_flattens_states_read_only():
+@pytest.mark.parametrize("alphas", [
+    [0.5, 1.0], [], [[0.6, 0.8]], 0.5, [1.0, np.nan], [1.0, np.inf], [1.0, -0.0, -1e-300],
+    [1.0, 1j], ["a"], [[1.0], [1.0, 0.0]],
+])
+def test_schmidt_data_refuses_anything_but_a_descending_spectrum(alphas):
+    with pytest.raises(ValueError, match="alphas must be"):
+        SchmidtData(alphas)
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_orthonormal_blocks_partition_the_states_read_only(shuffle):
     basis = kernel_basis(3)
-    rows = _orthonormal_blocks(basis)[0]
-    assert rows.shape == (9, 16) and rows.dtype == complex
-    assert all(np.array_equal(row, v.coeffs.reshape(-1)) for row, v in zip(rows, basis))
-    with pytest.raises(ValueError):
-        rows[0, 0] = 1.0
+    if shuffle:
+        basis = [basis[i] for i in np.random.default_rng(4).permutation(len(basis))]
+    k, blocks = _orthonormal_blocks(iter(basis))
+    assert k == 3 and len(blocks) > 1
+    owned = np.concatenate([rows for rows, _, _ in blocks])
+    assert sorted(owned) == list(range(len(basis)))
+    for rows, cols, block in blocks:
+        assert block.shape == (len(rows), len(cols)) and block.dtype == complex
+        for row, coeffs in zip(rows, block):
+            flat = basis[row].coeffs.reshape(-1)
+            assert np.array_equal(flat[cols], coeffs)
+            assert not np.any(np.delete(flat, cols))
+        for a in (rows, cols, block):
+            with pytest.raises(ValueError):
+                a[0] = 0
 
 
 def test_orthonormal_rows_rejects_skewed_basis_as_value_error():
