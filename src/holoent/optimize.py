@@ -11,9 +11,12 @@ the rounding of the entropy near a critical point. The ascent runs in complex
 coordinates c over the mode blocks of the orthonormal basis, as the
 projection does (see states._orthonormal_blocks); under the real inner
 product Re<x, y> that is the Euclidean geometry of the 2m real and
-imaginary parts. Restarts are independently seeded, so results are
-reproducible and restart loops may be distributed without changing the
-reported optimum.
+imaginary parts. A subspace that is one block on a single mode diagonal,
+such as the diagonal kernel, holds only states already in Schmidt form, so
+the value and gradient are read off that diagonal in closed form; any
+other subspace takes an SVD of the coefficient matrix per evaluation.
+Restarts are independently seeded, so results are reproducible and
+restart loops may be distributed without changing the reported optimum.
 """
 
 from __future__ import annotations
@@ -53,8 +56,8 @@ STEP_MAX = 1e4
 class OptProblem:
     """Maximization setup over the unit sphere of an orthonormal subspace.
 
-    ``blocks`` is derived, not set: the subspace's mode blocks, read-only
-    (rows, cols, submatrix) triples (see states._orthonormal_blocks).
+    ``blocks`` is derived, not set: the subspace's mode blocks, as
+    (rows, cols, submatrix, mode) tuples (see states._orthonormal_blocks).
     """
 
     subspace: tuple
@@ -96,29 +99,47 @@ class OptResult:
 def _coefficients(k, blocks, coords):
     """Coefficient matrix sum_i coords_i B_i of the level-k states, filled block by block."""
     flat = np.zeros((k + 1) ** 2, dtype=complex)
-    for rows, cols, block in blocks:
+    for rows, cols, block, _ in blocks:
         flat[cols] = coords[rows] @ block
     return flat.reshape(k + 1, k + 1)
 
 
 def _value_and_gradient(k, blocks, coords, warn_degenerate=False):
-    """Entropy of the state sum_i coords_i B_i and its tangential gradient at coords."""
-    u, sig, vh = np.linalg.svd(_coefficients(k, blocks, coords))
-    if warn_degenerate and sig.size > 1 and np.min(np.abs(np.diff(sig))) < DEGENERACY_GAP:
-        warnings.warn("Schmidt values collide; gradient is a subgradient choice",
-                      DegenerateSpectrum, stacklevel=3)
-    value = float(entropy_from_squared_schmidt(sig**2))
+    """Entropy of the state sum_i coords_i B_i and its tangential gradient at coords.
+
+    When the states are one block on a single mode d (blocks[0][3], fixed
+    by states._orthonormal_blocks), the state's coefficients a on that
+    diagonal are its Schmidt form: the values are read off in closed form,
+    with no matrix built and no SVD taken. Otherwise the coefficient
+    matrix is assembled and its full SVD taken. The DegenerateSpectrum
+    rule sees the same k+1 Schmidt values on either path.
+    """
     # dS = sum_j w_j d sigma_j = Re<G, dM> with G = U diag(w) V^H and
     # w_j = -2 sigma_j (ln sigma_j^2 + 1); dM = sum_i dc_i B_i, so the
     # gradient under Re<x, y> has entries <B_i, G> = sum conj(B_i) G, over
     # the columns of B_i's block
-    weights = -2.0 * sig * (np.log(np.maximum(sig**2, GRAD_LOG_FLOOR)) + 1.0)
-    g = ((u * weights) @ vh).reshape(-1)
-    grad = np.empty(len(coords), dtype=complex)
-    for rows, cols, block in blocks:
-        grad[rows] = block.conj() @ g[cols]
-    grad = grad - np.vdot(coords, grad).real * coords
-    return value, grad
+    if len(blocks) == 1 and blocks[0][3] is not None:
+        # the Schmidt values are |a| plus |d| structural zeros, and G is
+        # a w / |a| = -2 a (ln |a|^2 + 1) on the diagonal, 0 off it; the
+        # one block's rows are all the states, in order
+        block = blocks[0][2]
+        a = coords @ block
+        sig = np.abs(a)
+        grad = block.conj() @ (-2.0 * a * (np.log(np.maximum(sig**2, GRAD_LOG_FLOOR)) + 1.0))
+    else:
+        u, sig, vh = np.linalg.svd(_coefficients(k, blocks, coords))
+        weights = -2.0 * sig * (np.log(np.maximum(sig**2, GRAD_LOG_FLOOR)) + 1.0)
+        g = ((u * weights) @ vh).reshape(-1)
+        grad = np.empty(len(coords), dtype=complex)
+        for rows, cols, block, _ in blocks:
+            grad[rows] = block.conj() @ g[cols]
+    if warn_degenerate:
+        spectrum = np.sort(np.concatenate([sig, np.zeros(k + 1 - sig.size)]))
+        if spectrum.size > 1 and np.min(np.diff(spectrum)) < DEGENERACY_GAP:
+            warnings.warn("Schmidt values collide; gradient is a subgradient choice",
+                          DegenerateSpectrum, stacklevel=3)
+    value = float(entropy_from_squared_schmidt(sig**2))
+    return value, grad - np.vdot(coords, grad).real * coords
 
 
 def entropy_and_gradient(subspace, coords):

@@ -242,12 +242,14 @@ def _orthonormal_blocks(states):
     The set may be any iterable of states, a one-shot iterator included.
     A block is a maximal run of states whose mode ranges [lowest i - j,
     highest i - j] over their nonzero coefficients chain-overlap (see
-    _mode_blocks), as the read-only triple (rows, cols, submatrix): its
+    _mode_blocks), as the tuple (rows, cols, submatrix, mode): its
     states' indices in the set, which blocks partition, the flat indices
     i(k+1) + j it owns, off which its states vanish, and their
-    coefficients there. Blocks share no coefficient, so the Gram matrix
-    is block diagonal (entries between blocks are exactly 0) and is
-    checked block by block. A dense set is one block.
+    coefficients there, all three read-only; mode is the block's one
+    mode d when its columns are the k+1-|d| cells of a single diagonal,
+    None when it spans several. Blocks share no coefficient, so the Gram
+    matrix is block diagonal (entries between blocks are exactly 0) and
+    is checked block by block. A dense set is one block.
 
     Raises
     ------
@@ -268,13 +270,18 @@ def _orthonormal_blocks(states):
     rows = np.stack([s.coeffs.reshape(-1) for s in states])
     blocks = []
     defects = [0.0]
+    n = levels[0] + 1
     for row_idx, col_idx in _mode_blocks(rows):
         block = rows[row_idx[:, None], col_idx]
         gram = block.conj() @ block.T
         defects.append(np.max(np.abs(gram - np.eye(len(block)))))
         for a in (row_idx, col_idx, block):
             a.setflags(write=False)
-        blocks.append((row_idx, col_idx, block))
+        # a block owns every cell of each mode in its range, so it lies on
+        # one mode exactly when it has the n - |d| cells of its first cell's d
+        i, j = divmod(int(col_idx[0]), n)
+        mode = i - j if len(col_idx) == n - abs(i - j) else None
+        blocks.append((row_idx, col_idx, block, mode))
     defect = float(np.max(defects))  # np.max, not max(): a NaN defect must survive
     if not defect <= ORTHONORMAL_TOL:
         raise NotOrthonormal(f"basis Gram matrix deviates from identity by {defect:.3e}")

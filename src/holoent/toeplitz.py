@@ -241,7 +241,7 @@ def projection_matrix(basis: list[StateTensor]) -> ToeplitzMatrix:
     k, blocks = _orthonormal_blocks(basis)
     n = (k + 1) ** 2
     entries = np.zeros((n, n), dtype=complex)
-    for _, cols, block in blocks:
+    for _, cols, block, _ in blocks:
         entries[cols[:, None], cols] = block.T @ block.conj()
     entries.setflags(write=False)  # frozen here, so ToeplitzMatrix needs no copy
     return ToeplitzMatrix(k, entries)

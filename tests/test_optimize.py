@@ -3,6 +3,7 @@
 import contextlib
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -150,12 +151,30 @@ def test_gradient_matches_finite_differences(k):
         assert np.max(np.abs(grad - fd)) <= 1e-6 * scale
 
 
+def kernel_states_of_mode(k, d):
+    """The kernel_basis(k) states whose coefficients all sit on mode i - j = d."""
+    return [v for v in kernel_basis(k) if set(np.subtract(*np.nonzero(v.coeffs))) == {d}]
+
+
+def mode_1_kernel_basis(k):
+    return kernel_states_of_mode(k, 1)
+
+
+def mode_minus_2_kernel_basis(k):
+    return kernel_states_of_mode(k, -2)
+
+
 @pytest.mark.filterwarnings("ignore::holoent.DegenerateSpectrum")
-@pytest.mark.parametrize("build", [diagonal_kernel_basis, kernel_basis])
-@pytest.mark.parametrize("k", list(range(1, 13)))
+@pytest.mark.parametrize("k, build", [
+    (k, build) for k in range(1, 13)
+    for build in (diagonal_kernel_basis, kernel_basis, mode_1_kernel_basis,
+                  mode_minus_2_kernel_basis)
+    if k >= 3 or build in (diagonal_kernel_basis, kernel_basis)])
 def test_gradient_matches_realified_reference(k, build):
     # a random unitary mix of the real kernel states spans the same
-    # subspace through a complex orthonormal basis, one dense mode block;
+    # subspace through a complex orthonormal basis: one dense mode block
+    # for kernel_basis, and still one diagonal for the single-mode builds,
+    # where the closed form runs and d != 0 leaves |d| structural zeros;
     # the states themselves and their reversal split into blocks by mode,
     # and reversed, the blocks' rows run against the blocks' mode order
     rng = np.random.default_rng(300 + k)
@@ -173,6 +192,57 @@ def test_gradient_matches_realified_reference(k, build):
             assert abs(value - ref_value) <= 1e-12
             scale = max(1.0, float(np.linalg.norm(ref_grad)))
             assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * scale
+
+
+def test_colliding_structural_zeros_warn_off_the_main_diagonal():
+    # the three mode-2 states at k = 5 sit on a diagonal of 4 cells, so
+    # the state's 6 Schmidt values hold 2 structural zeros, which collide
+    basis = kernel_states_of_mode(5, 2)
+    coords = np.random.default_rng(7).standard_normal(2 * len(basis))
+    coords /= np.linalg.norm(coords)
+    with pytest.warns(DegenerateSpectrum):
+        entropy_and_gradient(basis, coords)
+    state = sum(c * v.coeffs for c, v in zip(coords[:3] + 1j * coords[3:], basis))
+    sig = np.linalg.svd(state, compute_uv=False)
+    assert len(sig) == 6 and np.all(sig[-2:] < optimize.DEGENERACY_GAP)
+    # one structural zero on mode 1 collides with nothing
+    basis = kernel_states_of_mode(5, 1)
+    coords = np.random.default_rng(8).standard_normal(len(basis))
+    coords /= np.linalg.norm(coords)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DegenerateSpectrum)
+        entropy_and_gradient(basis, coords)
+
+
+def count_calls(monkeypatch, namespace, name):
+    """Wrap namespace.name so that each call appends to the returned list."""
+    calls = []
+    original = getattr(namespace, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(namespace, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("k", [2, 10, 20])
+def test_a_diagonal_ascent_takes_no_svd(monkeypatch, k):
+    svd_calls = count_calls(monkeypatch, np.linalg, "svd")
+    evaluations = count_calls(monkeypatch, optimize, "_value_and_gradient")
+    result = maximize(OptProblem(subspace=tuple(diagonal_kernel_basis(k))))
+    assert result.converged and len(evaluations) > 100
+    # the one SVD is critical_residual's certificate of the best state
+    assert len(svd_calls) == 1
+
+
+def test_a_multi_mode_ascent_takes_one_svd_per_evaluation(monkeypatch):
+    svd_calls = count_calls(monkeypatch, np.linalg, "svd")
+    evaluations = count_calls(monkeypatch, optimize, "_value_and_gradient")
+    maximize(OptProblem(subspace=tuple(kernel_basis(4)), restarts=2))
+    assert len(evaluations) > 10
+    assert len(svd_calls) == len(evaluations) + 1
 
 
 def test_gradient_rejects_non_orthonormal_subspace():
@@ -289,13 +359,14 @@ def test_every_sweep_restart_converges(monkeypatch):
         return out
 
     monkeypatch.setattr(optimize, "_ascend", recorded)
-    for k in (2, 3, 10, 20, 30):
+    for k in [*range(1, 25), 30]:
         basis = tuple(diagonal_kernel_basis(k))
         for seed in (0, 16):
             runs.clear()
-            maximize(OptProblem(subspace=basis, restarts=16, seed=seed))
+            result = maximize(OptProblem(subspace=basis, restarts=16, seed=seed))
             assert len(runs) == 16
             assert all(converged for *_, converged in runs), (k, seed)
+            assert abs(result.best_value - math.log(k + 1)) <= 1e-9, (k, seed)
             if k == 2:
                 assert max(iterations for _, _, _, iterations, _ in runs) <= 150
 

@@ -19,6 +19,7 @@ from holoent import (
     ToeplitzMatrix,
     ZeroState,
     bell_vector,
+    diagonal_kernel_basis,
     entanglement_entropy,
     kernel_basis,
     frobenius_norm,
@@ -384,9 +385,9 @@ def test_orthonormal_blocks_partition_the_states_read_only(shuffle):
         basis = [basis[i] for i in np.random.default_rng(4).permutation(len(basis))]
     k, blocks = _orthonormal_blocks(iter(basis))
     assert k == 3 and len(blocks) > 1
-    owned = np.concatenate([rows for rows, _, _ in blocks])
+    owned = np.concatenate([rows for rows, *_ in blocks])
     assert sorted(owned) == list(range(len(basis)))
-    for rows, cols, block in blocks:
+    for rows, cols, block, _ in blocks:
         assert block.shape == (len(rows), len(cols)) and block.dtype == complex
         for row, coeffs in zip(rows, block):
             flat = basis[row].coeffs.reshape(-1)
@@ -395,6 +396,22 @@ def test_orthonormal_blocks_partition_the_states_read_only(shuffle):
         for a in (rows, cols, block):
             with pytest.raises(ValueError):
                 a[0] = 0
+
+
+def test_orthonormal_blocks_name_the_mode_of_a_single_diagonal_block():
+    def modes(states):
+        return [mode for *_, mode in _orthonormal_blocks(states)[1]]
+
+    assert modes(diagonal_kernel_basis(4)) == [0]
+    assert modes([StateTensor.basis_element(2, 2, 0)]) == [2]
+    assert modes([StateTensor.basis_element(3, 0, 2)]) == [-2]
+    # modes -1 and 0 own 5 cells, the first of them (e_0 (x) e_0) on mode 0
+    assert modes([StateTensor(2, np.array([[1, 1, 0], [0, 0, 0], [0, 0, 0]]) / np.sqrt(2))]) \
+        == [None]
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3)))
+    assert modes([StateTensor(2, col.reshape(3, 3)) for col in q.T]) == [None]
+    assert modes(kernel_basis(3)) == list(range(-2, 3))
 
 
 def test_orthonormal_rows_rejects_skewed_basis_as_value_error():
