@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -93,7 +94,13 @@ def _add_output_options(p: argparse.ArgumentParser) -> None:
                    help="write output to PATH instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The holoent argument parser, built once per process and shared.
+
+    Parsing leaves the parser unchanged, so each main() call reuses it;
+    a caller that alters the parser alters it for every later call.
+    """
     parser = argparse.ArgumentParser(
         prog="holoent",
         description="Entanglement entropy of product-section states on the sphere: "

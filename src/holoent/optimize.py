@@ -21,6 +21,7 @@ restart loops may be distributed without changing the reported optimum.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -125,10 +126,12 @@ def _value_and_gradient(k, blocks, coords, warn_degenerate=False):
         block = blocks[0][2]
         a = coords @ block
         sig = np.abs(a)
-        grad = block.conj() @ (-2.0 * a * (np.log(np.maximum(sig**2, GRAD_LOG_FLOOR)) + 1.0))
+        p = sig**2
+        grad = block.conj() @ (-2.0 * a * (np.log(np.maximum(p, GRAD_LOG_FLOOR)) + 1.0))
     else:
         u, sig, vh = np.linalg.svd(_coefficients(k, blocks, coords))
-        weights = -2.0 * sig * (np.log(np.maximum(sig**2, GRAD_LOG_FLOOR)) + 1.0)
+        p = sig**2
+        weights = -2.0 * sig * (np.log(np.maximum(p, GRAD_LOG_FLOOR)) + 1.0)
         g = ((u * weights) @ vh).reshape(-1)
         grad = np.empty(len(coords), dtype=complex)
         for rows, cols, block, _ in blocks:
@@ -138,7 +141,7 @@ def _value_and_gradient(k, blocks, coords, warn_degenerate=False):
         if spectrum.size > 1 and np.min(np.diff(spectrum)) < DEGENERACY_GAP:
             warnings.warn("Schmidt values collide; gradient is a subgradient choice",
                           DegenerateSpectrum, stacklevel=3)
-    value = float(entropy_from_squared_schmidt(sig**2))
+    value = float(entropy_from_squared_schmidt(p))
     return value, grad - np.vdot(coords, grad).real * coords
 
 
@@ -181,6 +184,17 @@ def entropy_and_gradient(subspace, coords):
     return value, grad.real if real_only else np.concatenate([grad.real, grad.imag])
 
 
+def _norm(x):
+    """Euclidean norm of a complex vector, bit for bit np.linalg.norm(x).
+
+    This is numpy's own formula for a complex vector, two real dots and no
+    rescaling, so the sum underflows and overflows exactly where numpy's
+    does; it skips only np.linalg.norm's argument dispatch.
+    """
+    real, imag = x.real, x.imag
+    return math.sqrt(real.dot(real) + imag.dot(imag))
+
+
 def _ascend(k, blocks, u0, max_iters, tol_grad):
     """Run one ascent from u0; returns (u, history, grad_norm, iterations, converged).
 
@@ -197,8 +211,10 @@ def _ascend(k, blocks, u0, max_iters, tol_grad):
     trial = STEP0
     # Zhang-Hager reference C, the q-weighted average of accepted values
     ref, q = f, 1.0
+    # every norm is _norm, numpy's two real dots: np.vdot(g, g).real sums
+    # in another order, so its last bits, and the iterates, would differ
     while True:
-        gnorm = float(np.linalg.norm(g))
+        gnorm = _norm(g)
         if gnorm <= tol_grad:
             return u, history, gnorm, len(history) - 1, True
         if len(history) > max_iters:  # iteration cap
@@ -206,7 +222,7 @@ def _ascend(k, blocks, u0, max_iters, tol_grad):
         step = trial
         for _ in range(MAX_BACKTRACKS):
             cand = u + step * g
-            cand = cand / np.linalg.norm(cand)
+            cand = cand / _norm(cand)
             f_new, g_new = _value_and_gradient(k, blocks, cand)
             if f_new >= ref + ARMIJO_C * step * gnorm * gnorm:
                 break
@@ -230,7 +246,7 @@ def _ascend(k, blocks, u0, max_iters, tol_grad):
         if f_new >= best[0]:
             best = (f_new, u, g)
     _, u, g = best
-    return u, history, float(np.linalg.norm(g)), len(history) - 1, False
+    return u, history, _norm(g), len(history) - 1, False
 
 
 def maximize(problem: OptProblem) -> OptResult:

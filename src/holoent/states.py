@@ -338,9 +338,17 @@ def partial_trace_first(state: StateTensor) -> ReducedDensity:
 
 
 def entropy_from_squared_schmidt(p: np.ndarray) -> np.ndarray:
-    """-sum p ln p along the last axis, with values below the zero floor dropped."""
-    terms = np.where(p > ENTROPY_ZERO_FLOOR, -p * np.log(np.maximum(p, ENTROPY_ZERO_FLOOR)), 0.0)
-    return np.maximum(terms.sum(axis=-1), 0.0)
+    """-sum p ln p along the last axis, with values below the zero floor dropped.
+
+    Entries not above the floor (1e-14), NaN included, count as 0. The
+    result is >= 0, and +0.0 (never -0.0) for a product spectrum such as
+    [1.0]. The sum is negated once rather than term by term; IEEE rounding
+    is symmetric in sign, so the bits are those of summing -p ln p.
+    """
+    # a dropped entry becomes 1, whose term 1 ln 1 is exactly +0.0
+    q = np.where(p > ENTROPY_ZERO_FLOOR, p, 1.0)
+    # 0.0 - s, not -s, so that a zero sum gives +0.0
+    return np.maximum(0.0 - np.add.reduce(q * np.log(q), axis=-1), 0.0)
 
 
 def entanglement_entropy(state: StateTensor) -> float:

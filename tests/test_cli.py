@@ -761,3 +761,35 @@ def test_non_finite_coefficients_keep_their_stdlib_behaviour(capsys, monkeypatch
     code, out, err = run_cli(capsys, "kernel", "--k", "2", "--format", "json")
     assert code == 2 and out == ""
     assert err == f"holoent kernel: {expected.value}\n"
+
+
+def run_cli_exit(capsys, *argv):
+    """(exit code, stdout) of an in-process main(), a usage error included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+SHARED_PARSER_RUNS = [
+    ("maximize", "--k", "3", "--seed", "1", "--restarts", "3", "--trace", "--format", "json"),
+    ("maximize", "--k", "3"),
+    ("maximize", "--k", "2", "--tol", "0"),
+    ("sphere-average", "--k", "2", "--n", "300"),
+    ("kernel", "--k", "2", "--format", "json"),
+]
+
+
+def test_the_parser_is_built_once_and_shared_by_every_run(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    shared = [run_cli_exit(capsys, *argv) for argv in SHARED_PARSER_RUNS]
+    fresh = []
+    for argv in SHARED_PARSER_RUNS:
+        cli.build_parser.cache_clear()
+        fresh.append(run_cli_exit(capsys, *argv))
+    assert shared == fresh
+    assert [code for code, _ in shared] == [0, 0, 2, 0, 0]
+    # the traced run's options do not leak into the plain run after it
+    assert "restart_values" in shared[0][1]
+    assert "restart_values" not in shared[1][1] and "trace" not in shared[1][1]

@@ -27,7 +27,7 @@ from holoent import (
     projection_matrix,
 )
 from holoent import optimize
-from holoent.optimize import GRAD_LOG_FLOOR, REFERENCE_DECAY, _ascend
+from holoent.optimize import GRAD_LOG_FLOOR, REFERENCE_DECAY, _ascend, _norm
 from holoent.states import _orthonormal_blocks, entropy_from_squared_schmidt
 
 
@@ -396,6 +396,21 @@ def test_capped_restarts_report_their_best_iterate(k):
         assert result.best_value == max(result.restart_values)
     # the cap does stop some ascents below their best value
     assert stopped_below_best > 0
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.0, 1e-160, 1e154])
+def test_the_ascent_norm_is_numpys_bit_for_bit(scale):
+    # near 1e-160 the unscaled sum of squares underflows and near 1e154 it
+    # overflows, as numpy's does
+    rng = np.random.default_rng(7)
+    for n in range(1, 22):
+        for _ in range(20):
+            x = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            with np.errstate(over="ignore"):
+                expected = np.linalg.norm(x)
+                got = _norm(x)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == expected.tobytes(), (x, got, expected)
 
 
 def test_a_stalled_ascent_returns_its_best_iterate_unconverged():

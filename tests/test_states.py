@@ -29,7 +29,13 @@ from holoent import (
     schmidt,
     schmidt_rank,
 )
-from holoent.states import _orthonormal_blocks, unit_norm
+from holoent import sampling
+from holoent.states import (
+    ENTROPY_ZERO_FLOOR,
+    _orthonormal_blocks,
+    entropy_from_squared_schmidt,
+    unit_norm,
+)
 
 
 def random_unit_state(k, rng):
@@ -427,3 +433,77 @@ def test_orthonormal_rows_rejects_mixed_levels_and_an_empty_set():
         _orthonormal_blocks([bell_vector(1), bell_vector(3)])
     with pytest.raises(ValueError, match="at least one state"):
         _orthonormal_blocks([])
+
+
+def entropy_by_negated_terms(p):
+    """Reference: -sum p ln p with every term negated, masked by np.where, summed by .sum."""
+    terms = np.where(p > ENTROPY_ZERO_FLOOR, -p * np.log(np.maximum(p, ENTROPY_ZERO_FLOOR)), 0.0)
+    return np.maximum(terms.sum(axis=-1), 0.0)
+
+
+def assert_same_bits(got, expected):
+    assert type(got) is type(expected)
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes(), (got, expected)
+
+
+BELOW_FLOOR = np.nextafter(ENTROPY_ZERO_FLOOR, 0.0)
+ABOVE_FLOOR = np.nextafter(ENTROPY_ZERO_FLOOR, 1.0)
+
+
+@pytest.mark.parametrize("p", [
+    [1.0],
+    [1.0, 0.0, 0.0],
+    [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [0.5, 0.5, 0.0, 0.0],
+    [0.0],
+    [0.5, 0.5 - ABOVE_FLOOR, ABOVE_FLOOR],
+    [0.5, 0.5 - BELOW_FLOOR, BELOW_FLOOR],
+    [1.0 - ENTROPY_ZERO_FLOOR, ENTROPY_ZERO_FLOOR],
+    [2 * ENTROPY_ZERO_FLOOR, 1e-17, -1e-17, 1.0],
+    [0.5, np.nan, 0.5],
+    [np.nan] * 3,
+    [0.25] * 4 + [np.nan] + [0.0] * 12,
+    [1.0 + 1e-15, 0.0],
+], ids=repr)
+def test_entropy_keeps_the_bits_of_the_negated_terms_at_the_edges(p):
+    p = np.array(p)
+    assert_same_bits(entropy_from_squared_schmidt(p), entropy_by_negated_terms(p))
+    # a row of a stack gives the same bits as the row alone
+    stack = np.stack([p, p[::-1]])
+    assert_same_bits(entropy_from_squared_schmidt(stack), entropy_by_negated_terms(stack))
+
+
+@pytest.mark.parametrize("p", [[1.0], [1.0, 0.0, 0.0], [0.0, 1.0], [np.nan, 1.0], [0.0]])
+def test_a_product_spectrum_has_entropy_plus_zero(p):
+    assert repr(float(entropy_from_squared_schmidt(np.array(p)))) == "0.0"
+    rows = entropy_from_squared_schmidt(np.array([p, p]))
+    assert not np.signbit(rows).any() and not rows.any()
+
+
+def test_entropy_of_random_spectra_keeps_the_bits_of_the_negated_terms():
+    rng = np.random.default_rng(2028)
+    for n in [*range(1, 22), 33, 64, 101, 257]:
+        for zeros in (0, n // 3):
+            p = rng.exponential(size=(50, n))
+            p[:, rng.permutation(n)[:zeros]] = 0.0
+            p /= p.sum(axis=-1, keepdims=True)
+            assert_same_bits(entropy_from_squared_schmidt(p), entropy_by_negated_terms(p))
+            for row in p[:5]:
+                assert_same_bits(entropy_from_squared_schmidt(row), entropy_by_negated_terms(row))
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 20])
+def test_entropy_of_the_sampler_rows_keeps_the_bits_of_the_negated_terms(monkeypatch, k):
+    spectra = []
+
+    def recording_entropy(p):
+        spectra.append(p)
+        return entropy_from_squared_schmidt(p)
+
+    monkeypatch.setattr(sampling, "entropy_from_squared_schmidt", recording_entropy)
+    sampling._block_entropies(k, 3000, 7, 0)
+    assert spectra and all(p.ndim == 2 for p in spectra)
+    for p in spectra:
+        assert_same_bits(entropy_from_squared_schmidt(p), entropy_by_negated_terms(p))
