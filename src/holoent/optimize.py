@@ -51,6 +51,8 @@ STEP_GROWTH = 2.0
 STEP0 = 1.0  # the first Barzilai-Borwein trial step of every ascent
 STEP_MIN = 1e-8
 STEP_MAX = 1e4
+# squared Schmidt coefficients below this are outside critical_residual's support
+SUPPORT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -288,29 +290,23 @@ def maximize(problem: OptProblem) -> OptResult:
     )
 
 
-def critical_residual(state: StateTensor, support_tol: float = 1e-10) -> float:
+def critical_residual(state: StateTensor) -> float:
     """Spread max p - min p of the squared Schmidt coefficients p on their support.
 
     Zero means a flat Schmidt spectrum, entropy ln(rank), the largest
     entropy at that rank; it is the stationarity certificate on any
-    subspace. Squared coefficients below support_tol are outside the
-    support, so states with vanishing coefficients, such as the Bell-type
-    pair, are certified on their support. Finite for every unit state.
+    subspace. Squared coefficients below SUPPORT_TOL (1e-10) are outside
+    the support, so states with vanishing coefficients, such as the
+    Bell-type pair, are certified on their support. Finite for every unit
+    state, whose largest squared coefficient is at least about 1/(k+1).
 
     Raises
     ------
-    DomainError
-        If support_tol is not a finite real number > 0 (bool excluded), or
-        no squared coefficient reaches it.
     NotNormalized
         If the norm deviates from 1 by more than 1e-10, or is NaN (see
         states.unit_norm).
     """
-    if not _is_positive_real(support_tol):
-        raise DomainError(f"support_tol must be a finite real number > 0, got {support_tol!r}")
     unit_norm(state)
     p = schmidt(state).alphas ** 2
-    p = p[p >= support_tol]
-    if not p.size:
-        raise DomainError(f"no squared Schmidt coefficient reaches support_tol={support_tol!r}")
+    p = p[p >= SUPPORT_TOL]
     return float(p[0] - p[-1])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NotNormalized, NotOrthonormal, ZeroState
-from .sections import _check_index, _check_level, _is_finite_real
+from .sections import _check_index, _check_level
 
 # Squared Schmidt values below this are treated as exact zeros when
 # evaluating -sum(p ln p); keeps machine noise out of the entropy.
@@ -46,12 +46,6 @@ def _freeze_field(record, field: str, shape) -> None:
             f"{type(record).__name__}.{field} must have shape {shape(record.k)}, got {a.shape}"
         )
     object.__setattr__(record, field, a)
-
-
-def _check_tolerance(tol) -> None:
-    """DomainError naming tol unless it is a finite real number >= 0 (see _is_finite_real)."""
-    if not (_is_finite_real(tol) and tol >= 0):
-        raise DomainError(f"tolerance must be a finite real number >= 0, got tol={tol!r}")
 
 
 @dataclass(frozen=True)
@@ -91,15 +85,6 @@ class StateTensor:
         if a.shape != (k + 1,):
             raise ValueError(f"need {k + 1} diagonal coefficients, got {a.shape}")
         return cls(k, np.diag(a))
-
-    def is_diagonal(self, tol: float = 1e-12) -> bool:
-        """True if no off-diagonal coefficient exceeds tol in modulus.
-
-        DomainError naming tol unless it is a finite real number >= 0.
-        """
-        _check_tolerance(tol)
-        off = self.coeffs - np.diag(np.diag(self.coeffs))
-        return bool(np.max(np.abs(off)) <= tol) if off.size else True
 
     def to_dict(self) -> dict:
         """JSON-ready record: {"k", "re", "im"}."""
@@ -169,13 +154,9 @@ class SchmidtData:
         """-sum a^2 ln(a^2) over the coefficients, squares below 1e-14 dropped."""
         return float(entropy_from_squared_schmidt(self.alphas**2))
 
-    def rank(self, tol: float = RANK_TOL) -> int:
-        """Number of coefficients above tol times the largest one.
-
-        DomainError naming tol unless it is a finite real number >= 0.
-        """
-        _check_tolerance(tol)
-        return int(np.count_nonzero(self.alphas > tol * self.alphas[0]))
+    def rank(self) -> int:
+        """Number of coefficients above RANK_TOL (1e-8) times the largest one."""
+        return int(np.count_nonzero(self.alphas > RANK_TOL * self.alphas[0]))
 
 
 @dataclass(frozen=True)
@@ -367,19 +348,17 @@ def entanglement_entropy(state: StateTensor) -> float:
     return schmidt(state).entropy()
 
 
-def schmidt_rank(state: StateTensor, tol: float = RANK_TOL) -> int:
-    """Number of Schmidt coefficients above tol times the largest one.
+def schmidt_rank(state: StateTensor) -> int:
+    """Number of Schmidt coefficients above RANK_TOL (1e-8) times the largest one.
 
     Rank 1 characterizes decomposable (product) states.
 
     Raises
     ------
-    DomainError
-        Naming tol, unless it is a finite real number >= 0 (bool excluded).
     NotNormalized
         If the norm is not finite: a NaN or infinite coefficient, or a
         norm beyond the float range.
     ZeroState
         If the state has norm below 1e-14.
     """
-    return schmidt(state).rank(tol)
+    return schmidt(state).rank()

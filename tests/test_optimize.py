@@ -487,7 +487,8 @@ def test_the_full_kernel_reaches_the_maximal_entropy(k):
 
 def test_maximize_certifies_a_non_diagonal_best_state():
     result = maximize(OptProblem(subspace=tuple(kernel_basis(2)), seed=0))
-    assert not result.best_state.is_diagonal()
+    coeffs = result.best_state.coeffs
+    assert np.max(np.abs(coeffs - np.diag(np.diag(coeffs)))) > 1e-12
     assert math.isfinite(result.critical_residual)
     assert result.critical_residual == critical_residual(result.best_state)
 
@@ -579,19 +580,18 @@ def test_critical_residual_detects_uneven_spectrum():
     u, v = (np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
             for _ in range(2))
     rotated = StateTensor(1, u @ state.coeffs @ v.T)
-    assert not rotated.is_diagonal()
+    assert np.max(np.abs(rotated.coeffs - np.diag(np.diag(rotated.coeffs)))) > 1e-12
     assert critical_residual(rotated) == pytest.approx(0.6, abs=1e-12)
 
 
-@pytest.mark.parametrize("bad", [
-    2.0, 0.9, math.nan, math.inf, -1, 0.0, True, "1", None, 1e-10 + 0j,
-])
-def test_critical_residual_rejects_a_support_tol_it_cannot_use(bad):
-    # squared Schmidt coefficients of the Bell pair are 1/2, 1/2 and 0, so
-    # -1 would count the zero as support and read a spread of 1/2
-    with pytest.raises(DomainError, match=rf"support_tol\b.*{re.escape(repr(bad))}$"):
-        critical_residual(bell_vector(2), support_tol=bad)
-    assert critical_residual(bell_vector(2), support_tol=0.4) <= 1e-12
+@pytest.mark.parametrize("small, expected", [(2e-10, 0.5 - 2e-10), (5e-11, 5e-11)])
+def test_critical_residual_support_starts_at_support_tol(small, expected):
+    # squared coefficients (1/2, 1/2 - small, small): 2e-10 is inside the
+    # support and spreads it to about 1/2; 5e-11 is outside and the spread
+    # is the gap between the two large entries
+    assert optimize.SUPPORT_TOL == 1e-10
+    state = StateTensor.from_diagonal(2, np.sqrt([0.5, 0.5 - small, small]))
+    assert critical_residual(state) == pytest.approx(expected, abs=1e-15)
 
 
 def test_critical_residual_requires_diagonal_unit_state():

@@ -19,6 +19,7 @@ from holoent import (
     ToeplitzMatrix,
     ZeroState,
     bell_vector,
+    critical_residual,
     diagonal_kernel_basis,
     entanglement_entropy,
     kernel_basis,
@@ -32,6 +33,7 @@ from holoent import (
 from holoent import sampling
 from holoent.states import (
     ENTROPY_ZERO_FLOOR,
+    RANK_TOL,
     _orthonormal_blocks,
     entropy_from_squared_schmidt,
     unit_norm,
@@ -195,18 +197,23 @@ def test_schmidt_rank_rejects_zero_state():
         schmidt_rank(StateTensor(1, np.zeros((2, 2))))
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1, -1e-300, True, 1j, "0.1", None])
-def test_rank_and_diagonality_refuse_a_bad_tolerance(tol):
-    state = bell_vector(3)
-    for check in (schmidt(state).rank, lambda tol: schmidt_rank(state, tol), state.is_diagonal):
-        with pytest.raises(DomainError, match=re.escape(f"tol={tol!r}")):
-            check(tol)
+@pytest.mark.parametrize("call", [
+    lambda: schmidt_rank(bell_vector(3), 0.5),
+    lambda: schmidt(bell_vector(3)).rank(tol=0.5),
+    lambda: critical_residual(bell_vector(2), support_tol=0.4),
+], ids=["schmidt_rank", "SchmidtData.rank", "critical_residual"])
+def test_the_rank_and_support_tolerances_are_not_arguments(call):
+    with pytest.raises(TypeError):
+        call()
 
 
-def test_rank_and_diagonality_accept_any_finite_tolerance_from_zero():
-    state = bell_vector(3)
-    assert schmidt_rank(state, 0) == schmidt_rank(state, np.float32(0.5)) == 2
-    assert state.is_diagonal(0) and not StateTensor(1, np.ones((2, 2)) / 2).is_diagonal(0.0)
+def test_state_tensor_has_no_diagonality_predicate():
+    assert not hasattr(StateTensor, "is_diagonal")
+
+
+def test_rank_counts_coefficients_strictly_above_rank_tol_times_the_largest():
+    assert RANK_TOL == 1e-8
+    assert SchmidtData([1, 1.01e-8, 0.99e-8]).rank() == 2
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -372,7 +379,6 @@ def test_schmidt_data_gives_entropy_and_rank_of_its_state():
     decomposition = schmidt(state)
     assert decomposition.entropy() == entanglement_entropy(state)
     assert decomposition.rank() == schmidt_rank(state) == 4
-    assert decomposition.rank(tol=2.0) == 0
 
 
 @pytest.mark.parametrize("alphas", [
