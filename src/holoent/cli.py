@@ -27,8 +27,11 @@ write for their ``tolist()``. ``_float_rows`` finds the nonzero cells of
 a stack of rows with one flat scan of its bit view, reprs each distinct
 value once per render (the CSV stacks of a kernel, and all JSON arrays of
 a document, share one repr cache) and writes each run of zeros as one
-cached string, with no Python loop over cells. JSON renders all arrays of
-one (width, indentation) with one such call.
+cached string, with no Python loop over cells. In JSON, ``json.dumps``
+meets each array once, at its place in the document, as a placeholder
+string, or as its first non-finite entry, which json.dumps refuses there;
+the arrays of one (width, indentation) are then rendered with one such
+call and spliced back by position.
 
 JSON output follows the schema shipped in schemas/output.schema.json.
 Float flags must be finite. Exit codes: 0 success, 2 usage or
@@ -45,7 +48,6 @@ import io
 import json
 import math
 import os
-import re
 import stat
 import sys
 
@@ -446,45 +448,25 @@ def render_csv(command: str, result: dict) -> str:
     return buffer.getvalue()
 
 
-# json.dumps text of the placeholder string that stands for float array n
-_ARRAY_PLACEHOLDER = re.compile(r'"\\u0000(\d+)"')
-
-
-def _check_finite(arrays: list[np.ndarray]) -> None:
-    """Raise json.dumps's ValueError (allow_nan=False) for the first
-    non-finite entry of the first array that holds one."""
-    for values in arrays:
-        bad = values[~np.isfinite(values)]
-        if bad.size:
-            raise ValueError("Out of range float values are not JSON compliant: "
-                             + repr(float(bad[0])))
-
-
 def _json_arrays(arrays: list[np.ndarray], indents: list[str]) -> list[str]:
-    """json.dumps(values.tolist(), indent=2) text of each 2-D float array.
+    """json.dumps(values.tolist(), indent=2) text of each finite 2-D float array.
 
     ``indents[n]`` is the indentation of the line array n opens on. The
     arrays of one (width, indent) are stacked and rendered by one
-    _float_rows call, with one repr cache for all of them. A non-finite
-    entry raises ValueError, as json.dumps does with allow_nan=False, for
-    the first such entry in the order of the arrays; nothing is rendered
-    then.
+    _float_rows call, with one repr cache for all of them.
     """
     groups = {}
     for n, (values, indent) in enumerate(zip(arrays, indents)):
         groups.setdefault((values.shape[1], indent), []).append(n)
-    stacks = [(indent, members, np.concatenate([arrays[n] for n in members]))
-              for (_, indent), members in groups.items()]
-    if not all(np.isfinite(stack).all() for _, _, stack in stacks):
-        _check_finite(arrays)
     texts = [""] * len(arrays)
     reprs = {}
-    for indent, members, stack in stacks:
+    for (_, indent), members in groups.items():
         inner = indent + "    "
         # [ [row], [row], ... ] with each bracket on its own line
         head = f"[\n{indent}  [\n{inner}"
         between = f"\n{indent}  ],\n{indent}  [\n{inner}"
         tail = f"\n{indent}  ]\n{indent}]"
+        stack = np.concatenate([arrays[n] for n in members])
         rows = list(_float_rows(stack, ",\n" + inner, reprs, {}))
         start = 0
         for n in members:
@@ -499,16 +481,23 @@ def render_json(command: str, result: dict) -> str:
 
     ``result["data"]`` may hold StateTensor, ToeplitzMatrix and ndarray
     values as they are. The record of a StateTensor or ToeplitzMatrix is
-    its ``to_dict()``, with the "re" and "im" arrays rendered by
-    ``_json_arrays`` and spliced into the ``json.dumps`` text of the rest;
-    an ndarray goes through ``tolist()``. Any other unknown object raises
-    TypeError, and a non-finite float ValueError.
+    its ``to_dict()``; ``json.dumps`` writes one placeholder string for
+    each of its "re" and "im" arrays, in the order they are made, and the
+    arrays are rendered by ``_json_arrays`` and spliced back by position.
+    An ndarray goes through ``tolist()``. Any other unknown object raises
+    TypeError. Each array is checked once, where json.dumps places it: a
+    non-finite array stands there as its first non-finite entry, so
+    json.dumps (allow_nan=False) raises its own ValueError for the first
+    non-finite value of the document, array or not.
     """
     arrays = []
 
     def placeholder(values):
+        finite = np.isfinite(values)
+        if not finite.all():
+            return float(values[~finite][0])
         arrays.append(values)
-        return f"\0{len(arrays) - 1}"
+        return "\0"
 
     def to_json(value):
         if isinstance(value, StateTensor):
@@ -526,22 +515,17 @@ def render_json(command: str, result: dict) -> str:
         "params": result["params"],
         "data": result["data"],
     }
-    try:
-        text = json.dumps(payload, indent=2, default=to_json, allow_nan=False)
-    except ValueError:
-        # the arrays placed before the value json.dumps refused come first
-        _check_finite(arrays)
-        raise
-    pieces = _ARRAY_PLACEHOLDER.split(text)
-    indents = [""] * len(arrays)
-    for i in range(1, len(pieces), 2):
-        line = pieces[i - 1][pieces[i - 1].rfind("\n") + 1:]
-        indents[int(pieces[i])] = line[:len(line) - len(line.lstrip(" "))]
-    texts = _json_arrays(arrays, indents)
-    for i in range(1, len(pieces), 2):
-        pieces[i] = texts[int(pieces[i])]
-    pieces.append("\n")
-    return "".join(pieces)
+    text = json.dumps(payload, indent=2, default=to_json, allow_nan=False)
+    # gap n between the pieces is the placeholder of array n
+    pieces = text.split('"\\u0000"')
+    indents = []
+    for piece in pieces[:-1]:
+        line = piece[piece.rfind("\n") + 1:]
+        indents.append(line[:len(line) - len(line.lstrip(" "))])
+    spliced = [None] * (2 * len(pieces))
+    spliced[::2] = pieces
+    spliced[1::2] = [*_json_arrays(arrays, indents), "\n"]
+    return "".join(spliced)
 
 
 def _write(handle, text: str) -> None:

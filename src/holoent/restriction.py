@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import IndexOutOfRange
+from .errors import DomainError, IndexOutOfRange
 from .sections import _check_level, _is_integer, _mode_weights
 from .states import StateTensor, _freeze_field
 
@@ -60,11 +60,16 @@ def restrict(state: StateTensor) -> LambdaRestriction:
 
     Mode d collects (k+1) sum_{i-j=d} C_ij sqrt(binom(k,i) binom(k,j));
     the restricted section is sum_d fourier_d e^{i d t} in the affine frame.
+    DomainError if a mode is not finite, as when the coefficients hold a
+    NaN or are so large that the sum overflows; a unit state never does.
     """
     k, c = state.k, state.coeffs
     weights = _mode_weights(k)
     # entries with i - j = d sit on the numpy diagonal of offset -d
-    fourier = [(k + 1) * (c.diagonal(-d) * weights[d + k]).sum() for d in range(-k, k + 1)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        fourier = [(k + 1) * (c.diagonal(-d) * weights[d + k]).sum() for d in range(-k, k + 1)]
+    if not np.all(np.isfinite(fourier)):
+        raise DomainError("the restriction of the state is not finite")
     return LambdaRestriction(k, fourier)
 
 

@@ -190,7 +190,7 @@ def unit_norm(state: StateTensor) -> float:
 
 
 def _mode_blocks(rows: np.ndarray):
-    """Blocks of a level-k row matrix, as (row indices, column indices) pairs.
+    """Blocks of a level-k row matrix, as (row indices, column indices, mode).
 
     k is read off the (k+1)^2 columns; column i(k+1) + j holds e_i (x) e_j,
     of mode d = i - j. Each row spans the modes from its lowest to its
@@ -198,6 +198,7 @@ def _mode_blocks(rows: np.ndarray):
     maximal run of rows whose ranges chain-overlap, and its columns are
     every coefficient whose mode lies in the run, so different blocks
     share no column. Blocks come in ascending mode, with ascending indices.
+    mode is the run's one mode d when its rows span only d, else None.
     """
     n = math.isqrt(rows.shape[1])
     i, j = np.divmod(np.arange(n * n), n)
@@ -213,8 +214,9 @@ def _mode_blocks(rows: np.ndarray):
     low, reach = low[order], np.maximum.accumulate(high[order])
     bounds = [0, *(np.flatnonzero(low[1:] > reach[:-1]) + 1), len(order)]
     for start, stop in zip(bounds[:-1], bounds[1:]):
-        cols = np.flatnonzero((mode >= low[start]) & (mode <= reach[stop - 1]))
-        yield np.sort(order[start:stop]), cols
+        first, last = int(low[start]), int(reach[stop - 1])
+        cols = np.flatnonzero((mode >= first) & (mode <= last))
+        yield np.sort(order[start:stop]), cols, first if first == last else None
 
 
 def _orthonormal_blocks(states):
@@ -251,17 +253,12 @@ def _orthonormal_blocks(states):
     rows = np.stack([s.coeffs.reshape(-1) for s in states])
     blocks = []
     defects = [0.0]
-    n = levels[0] + 1
-    for row_idx, col_idx in _mode_blocks(rows):
+    for row_idx, col_idx, mode in _mode_blocks(rows):
         block = rows[row_idx[:, None], col_idx]
         gram = block.conj() @ block.T
         defects.append(np.max(np.abs(gram - np.eye(len(block)))))
         for a in (row_idx, col_idx, block):
             a.setflags(write=False)
-        # a block owns every cell of each mode in its range, so it lies on
-        # one mode exactly when it has the n - |d| cells of its first cell's d
-        i, j = divmod(int(col_idx[0]), n)
-        mode = i - j if len(col_idx) == n - abs(i - j) else None
         blocks.append((row_idx, col_idx, block, mode))
     defect = float(np.max(defects))  # np.max, not max(): a NaN defect must survive
     if not defect <= ORTHONORMAL_TOL:

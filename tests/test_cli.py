@@ -508,6 +508,15 @@ def test_non_finite_input_is_usage_error(capsys, tmp_path, argv):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_entropy_refuses_a_restriction_that_is_not_finite(capsys, monkeypatch, fmt):
+    state = '{"k": 1, "re": [[1e308, 1e308], [1e308, 1e308]], "im": [[0, 0], [0, 0]]}'
+    monkeypatch.setattr("sys.stdin", io.StringIO(state))
+    code, out, err = run_cli(capsys, "entropy", "--state", "-", "--restriction", "--format", fmt)
+    assert code == 2 and out == ""
+    assert err == "holoent entropy: the restriction of the state is not finite\n"
+
+
 def test_render_json_rejects_unknown_objects():
     with pytest.raises(TypeError, match="object is not JSON serializable"):
         render_json("kernel", {"params": {}, "data": {"basis": [object()]}})
@@ -717,17 +726,32 @@ def test_json_refuses_the_first_non_finite_value_in_document_order():
         render_json("kernel", result)
 
 
-def test_a_non_finite_array_before_a_non_finite_scalar_is_named_first():
-    """json.dumps meets the inf coefficient of "a" before the NaN of "b";
-    the arrays are checked only after json.dumps, so its error for "b"
-    must not win."""
-    data = {"a": StateTensor(1, [[np.inf, 0], [0, 1]]), "b": math.nan}
+def assert_refused_like_the_stdlib(data, value):
+    """render_json refuses data with json.dumps's own error, which names value."""
     result = {"params": {"k": 1}, "data": data}
     with pytest.raises(ValueError) as expected:
         reference_json("entropy", result)
-    assert str(expected.value).endswith("inf")
+    assert str(expected.value).endswith(": " + repr(value))
     with pytest.raises(ValueError, match="^" + re.escape(str(expected.value)) + "$"):
         render_json("entropy", result)
+
+
+def test_a_non_finite_array_before_a_non_finite_scalar_is_named_first():
+    """json.dumps meets the inf coefficient of "a" before the NaN of "b"."""
+    assert_refused_like_the_stdlib(
+        {"a": StateTensor(1, [[np.inf, 0], [0, 1]]), "b": math.nan}, math.inf)
+
+
+def test_a_non_finite_scalar_before_a_non_finite_array_is_named_first():
+    """json.dumps meets the NaN of "a" before the inf coefficient of "b"."""
+    assert_refused_like_the_stdlib(
+        {"a": math.nan, "b": StateTensor(1, [[np.inf, 0], [0, 1]])}, math.nan)
+
+
+def test_a_state_with_finite_re_and_an_infinite_im_is_refused_with_it():
+    """The "re" array is placed, then json.dumps meets the -inf of "im"."""
+    assert_refused_like_the_stdlib(
+        StateTensor(1, [[1, 0], [0, complex(0, -math.inf)]]), -math.inf)
 
 
 def test_arrays_render_like_the_stdlib_at_every_depth():

@@ -1,6 +1,7 @@
 """Restriction to the antidiagonal circle, its kernel and the named states."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import scipy.linalg
 import scipy.sparse
 
 from holoent import (
+    DomainError,
     IndexOutOfRange,
     StateTensor,
     bell_vector,
@@ -41,6 +43,16 @@ def test_restrict_offdiagonal_single_mode():
     assert r.mode(-1) == 2.0
     assert r.mode(0) == 0.0
     assert r.mode(1) == 0.0
+
+
+@pytest.mark.parametrize("coeffs", [np.full((2, 2), 1e308), [[math.nan, 0], [0, 0]]])
+def test_restrict_refuses_a_restriction_that_is_not_finite(coeffs):
+    # mode 0 of the 1e308 state overflows to inf; its exact imaginary part
+    # is 0, but inf * 0 would read nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match="restriction of the state is not finite"):
+            restrict(StateTensor(1, coeffs))
 
 
 def test_restrict_matches_pointwise_evaluation():

@@ -417,7 +417,7 @@ def test_orthonormal_blocks_name_the_mode_of_a_single_diagonal_block():
     assert modes(diagonal_kernel_basis(4)) == [0]
     assert modes([StateTensor.basis_element(2, 2, 0)]) == [2]
     assert modes([StateTensor.basis_element(3, 0, 2)]) == [-2]
-    # modes -1 and 0 own 5 cells, the first of them (e_0 (x) e_0) on mode 0
+    # the state spans modes -1 and 0, so its block lies on no single mode
     assert modes([StateTensor(2, np.array([[1, 1, 0], [0, 0, 0], [0, 0, 0]]) / np.sqrt(2))]) \
         == [None]
     rng = np.random.default_rng(3)

@@ -404,8 +404,9 @@ def test_kernel_basis_has_one_support_block_per_nonempty_mode(k):
     blocks = list(_mode_blocks(rows))
     # modes d = -k and k hold no kernel state; mode d holds k - |d| states
     # on the k - |d| + 1 coefficients of its diagonal
-    assert [len(r) for r, _ in blocks] == [k - abs(d) for d in range(1 - k, k)]
-    assert [len(c) for _, c in blocks] == [k - abs(d) + 1 for d in range(1 - k, k)]
+    assert [len(r) for r, _, _ in blocks] == [k - abs(d) for d in range(1 - k, k)]
+    assert [len(c) for _, c, _ in blocks] == [k - abs(d) + 1 for d in range(1 - k, k)]
+    assert [mode for *_, mode in blocks] == list(range(1 - k, k))
 
 
 def argmax_mode_blocks(rows):
@@ -428,8 +429,12 @@ def assert_same_blocks(rows):
     blocks = list(_mode_blocks(rows))
     expected = list(argmax_mode_blocks(rows))
     assert len(blocks) == len(expected)
-    for (row_idx, col_idx), (want_rows, want_cols) in zip(blocks, expected):
+    modes = flat_modes(math.isqrt(rows.shape[1]) - 1)
+    for (row_idx, col_idx, mode), (want_rows, want_cols) in zip(blocks, expected):
         assert np.array_equal(row_idx, want_rows) and np.array_equal(col_idx, want_cols)
+        # the block names its mode exactly when its columns lie on one diagonal
+        spanned = set(modes[col_idx].tolist())
+        assert mode == (spanned.pop() if len(spanned) == 1 else None)
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -458,8 +463,9 @@ def test_projection_matrix_of_dense_random_basis_is_one_block():
     q, _ = np.linalg.qr(rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
     basis = [StateTensor(k, col.reshape(k + 1, k + 1)) for col in q.T]
     rows = np.stack([v.coeffs.reshape(-1) for v in basis])
-    [(row_idx, col_idx)] = _mode_blocks(rows)
+    [(row_idx, col_idx, mode)] = _mode_blocks(rows)
     assert np.array_equal(row_idx, np.arange(m)) and np.array_equal(col_idx, np.arange(n))
+    assert mode is None
     P = projection_matrix(basis).entries
     assert np.array_equal(P, dense_projection(basis))
 
@@ -487,7 +493,7 @@ def partly_overlapping_basis():
 
 def test_support_blocks_merge_through_a_shared_state():
     rows = np.stack([v.coeffs.reshape(-1) for v in partly_overlapping_basis()])
-    blocks = [(list(r), list(c)) for r, c in _mode_blocks(rows)]
+    blocks = [(list(r), list(c)) for r, c, _ in _mode_blocks(rows)]
     assert blocks == [([0, 1, 2, 3], [0, 1, 2, 3, 4, 5, 7, 8])]
 
 
@@ -504,12 +510,12 @@ def test_mode_blocks_merge_a_chain_of_overlapping_ranges():
     basis = chain_basis()
     rows = np.stack([v.coeffs.reshape(-1) for v in basis])
     mode = flat_modes(3)
-    blocks = [(list(r), list(c)) for r, c in _mode_blocks(rows[:2])]
+    blocks = [(list(r), list(c)) for r, c, _ in _mode_blocks(rows[:2])]
     assert blocks == [
         ([0], list(np.flatnonzero((mode >= 0) & (mode <= 1)))),
         ([1], list(np.flatnonzero(mode >= 2))),
     ]
-    blocks = [(list(r), list(c)) for r, c in _mode_blocks(rows)]
+    blocks = [(list(r), list(c)) for r, c, _ in _mode_blocks(rows)]
     assert blocks == [([0, 1, 2], list(np.flatnonzero(mode >= 0)))]
     assert_matches_dense(basis)
 
@@ -518,8 +524,8 @@ def test_zero_state_spans_every_mode_and_is_refused():
     zero = StateTensor(2, np.zeros((3, 3)))
     basis = partly_overlapping_basis()[3:] + [zero]
     rows = np.stack([v.coeffs.reshape(-1) for v in basis])
-    [(row_idx, col_idx)] = _mode_blocks(rows)
-    assert list(row_idx) == [0, 1] and list(col_idx) == list(range(9))
+    [(row_idx, col_idx, mode)] = _mode_blocks(rows)
+    assert list(row_idx) == [0, 1] and list(col_idx) == list(range(9)) and mode is None
     with pytest.raises(NotOrthonormal, match="deviates from identity by 1.000e"):
         projection_matrix(basis)
     with pytest.raises(NotOrthonormal):
@@ -551,8 +557,10 @@ def test_projection_matrix_of_full_product_basis_is_exactly_identity(k):
     # so each block's rows and columns agree
     rows = np.stack([v.coeffs.reshape(-1) for v in full])
     mode = flat_modes(k)
-    blocks = [(list(r), list(c)) for r, c in _mode_blocks(rows)]
-    assert blocks == [(list(np.flatnonzero(mode == d)),) * 2 for d in range(-k, k + 1)]
+    blocks = list(_mode_blocks(rows))
+    assert [(list(r), list(c)) for r, c, _ in blocks] \
+        == [(list(np.flatnonzero(mode == d)),) * 2 for d in range(-k, k + 1)]
+    assert [d for *_, d in blocks] == list(range(-k, k + 1))
 
 
 @pytest.mark.parametrize("bad", [np.full((2, 2), np.nan), np.diag([np.nan, 0.0])])
