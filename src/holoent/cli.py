@@ -14,24 +14,29 @@ both output formats are derived:
   (a JSON run never iterates it, so large tables are built only for
   CSV). ``rows`` is an iterable of rows of plain Python values, written
   by ``csv.writer``; every small table takes this path. ``lines`` is an
-  iterable of finished text lines, written as they are; ``kernel`` gives
-  its float coefficient rows this way, pre-formatted by ``_float_rows``;
+  iterable of text that joins into whole lines, written as it is;
+  ``kernel`` gives its coefficient rows this way, made by
+  ``_kernel_lines`` straight from the kernel's mode blocks, with no
+  state or dense basis built;
 - ``data``: the JSON payload, which holds StateTensor, ToeplitzMatrix and
   ndarray values as they are; ``render_json`` serializes them (a CSV run
-  never converts them);
+  never converts them). ``kernel`` builds its dense basis, and so its
+  ``data``, only when ``--format json`` asks for it;
 - ``exit_code`` (optional): the exit status when it is not 0.
 
-Float coefficient arrays are rendered as whole rows of text in both
-formats, byte-identical to what ``csv.writer`` and ``json.dumps(indent=2)``
-write for their ``tolist()``. ``_float_rows`` finds the nonzero cells of
-a stack of rows with one flat scan of its bit view, reprs each distinct
-value once per render (the CSV stacks of a kernel, and all JSON arrays of
-a document, share one repr cache) and writes each run of zeros as one
-cached string, with no Python loop over cells. In JSON, ``json.dumps``
-meets each array once, at its place in the document, as a placeholder
-string, or as its first non-finite entry, which json.dumps refuses there;
-the arrays of one (width, indentation) are then rendered with one such
-call and spliced back by position.
+Float coefficients are rendered as whole rows of text in both formats,
+byte-identical to what ``csv.writer`` and ``json.dumps(indent=2)`` write
+for their ``tolist()``. A kernel CSV line is fixed but for its state's
+values on one diagonal, so ``_kernel_lines`` reprs each value of a mode
+block once and joins them with the fixed run of zeros between diagonal
+cells. JSON arrays go through ``_float_rows``, which finds the nonzero
+cells of a stack of rows with one flat scan of its bit view, reprs each
+distinct value once per document and writes each run of zeros as one
+cached string, with no Python loop over cells. ``json.dumps`` meets each
+array once, at its place in the document, as a placeholder string, or
+as its first non-finite entry, which json.dumps refuses there; the
+arrays of one (width, indentation) are then rendered with one such call
+and spliced back by position.
 
 JSON output follows the schema shipped in schemas/output.schema.json.
 Float flags must be finite. Exit codes: 0 success, 2 usage or
@@ -59,8 +64,6 @@ from .states import StateTensor, schmidt, unit_norm
 
 # toeplitz-check passes when the max norm of the difference is at most this
 _TOEPLITZ_CHECK_TOL = 1e-10
-# states per coefficient stack when kernel rows are rendered
-_STATE_CHUNK = 64
 # characters per write of the output text
 _EMIT_CHUNK = 1 << 20
 
@@ -246,24 +249,30 @@ def _float_rows(values: np.ndarray, sep: str, reprs: dict, runs: dict):
                              map(slice, (stops - sizes).tolist(), stops.tolist())))
 
 
-def _state_lines(states: list[StateTensor]):
-    """CSV lines ``index,re,im,re,im,...`` of states, coefficients in C order.
+def _kernel_lines(k: int, blocks):
+    """CSV lines ``index,re,im,re,im,...`` of kernel states, from their mode blocks.
 
-    A generator. States are stacked _STATE_CHUNK at a time into one reused
-    buffer, so no (count, k+1, k+1) copy of a large basis is held beside
-    its text; the repr and zero-run caches of _float_rows are carried
-    across the stacks.
+    A generator over the blocks of restriction._kernel_blocks, yielding
+    each line in four pieces, so no line is copied whole. A state of
+    mode d is one row of its block's submatrix, placed on the block's
+    cells (consecutive cells of one diagonal, k + 2 flat cells apart), so
+    its line is fixed but for those values: the zero run before the first
+    cell and after the last is fixed per block, the run between two cells
+    is always 2k + 3 zero tokens, and every imaginary cell is ``0.0``.
+    Each row's joined value text is built once per submatrix, keyed on
+    the array object, so modes d and -d, which share one, share it too.
     """
-    if not states:
-        return
-    reprs, runs = {}, {}
-    buffer = np.empty((min(len(states), _STATE_CHUNK), *states[0].coeffs.shape), complex)
-    for first in range(0, len(states), _STATE_CHUNK):
-        chunk = states[first:first + _STATE_CHUNK]
-        stack = np.stack([state.coeffs for state in chunk], out=buffer[:len(chunk)])
-        rows = _float_rows(stack.view(float).reshape(len(chunk), -1), ",", reprs, runs)
-        for index, row in enumerate(rows, first):
-            yield f"{index},{row}\n"
+    cells = (k + 1) ** 2
+    between = ",0.0" * (2 * k + 3) + ","
+    bodies = {}  # id(submatrix) -> (submatrix, joined value text of each row)
+    for rows, cols, submatrix, _ in blocks:
+        if id(submatrix) not in bodies:
+            texts = [between.join(map(repr, row)) for row in submatrix.tolist()]
+            bodies[id(submatrix)] = submatrix, texts
+        lead = "0.0," * (2 * int(cols[0]))
+        tail = ",0.0" * (2 * (cells - int(cols[-1])) - 1) + "\n"
+        for index, body in zip(rows.tolist(), bodies[id(submatrix)][1]):
+            yield from (f"{index},", lead, body, tail)
 
 
 def _entry_rows(matrices: dict[str, np.ndarray]):
@@ -299,17 +308,17 @@ def cmd_entropy(args: argparse.Namespace) -> dict:
 
 
 def cmd_kernel(args: argparse.Namespace) -> dict:
-    basis = restriction.kernel_basis(args.k)
-    params = {"k": args.k, "dim": len(basis)}
-    n = args.k + 1
+    k = args.k
+    if args.format == "json":
+        basis = restriction.kernel_basis(k)
+        params = {"k": k, "dim": len(basis)}
+        return {"params": params, "data": {**params, "basis": basis}}
+    blocks = restriction._kernel_blocks(k, range(-k, k + 1))
+    params = {"k": k, "dim": sum(len(rows) for rows, *_ in blocks)}
+    n = k + 1
     columns = ["vector"] + [f"{part}_{i}_{j}"
                             for i in range(n) for j in range(n) for part in ("re", "im")]
-    return {
-        "params": params,
-        "columns": columns,
-        "lines": _state_lines(basis),
-        "data": {**params, "basis": basis},
-    }
+    return {"params": params, "columns": columns, "lines": _kernel_lines(k, blocks)}
 
 
 def cmd_named_vectors(args: argparse.Namespace) -> dict:
@@ -434,8 +443,8 @@ def render_csv(command: str, result: dict) -> str:
     """CSV text of a command record: provenance comments, header, then the body.
 
     The body is ``result["rows"]``, written by csv.writer (a float as its
-    repr, bools as ``true``/``false``), or ``result["lines"]``, written
-    as they are; either is consumed once, here.
+    repr, bools as ``true``/``false``), or ``result["lines"]``, joined
+    as it is; either is consumed once, here.
     """
     buffer = io.StringIO()
     buffer.write(f"# command={command}\n")
@@ -444,8 +453,7 @@ def render_csv(command: str, result: dict) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(result["columns"])
     writer.writerows(result.get("rows", ()))
-    buffer.writelines(result.get("lines", ()))
-    return buffer.getvalue()
+    return "".join([buffer.getvalue(), *result.get("lines", ())])
 
 
 def _json_arrays(arrays: list[np.ndarray], indents: list[str]) -> list[str]:

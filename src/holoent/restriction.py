@@ -8,7 +8,10 @@ of the restriction is the weighted sum of the diagonal i - j = d, and
 kernel membership is one homogeneous linear condition per mode. The
 conditions of different modes involve disjoint coefficients, so the
 kernel is built mode by mode: on the diagonal i - j = d it is the
-orthocomplement of that diagonal's weight vector.
+orthocomplement of that diagonal's weight vector. _kernel_blocks returns
+it in that form, one real mode block per diagonal; kernel_basis and
+diagonal_kernel_basis place the blocks into dense states, and the
+kernel CSV of the command line is written from the blocks themselves.
 """
 
 from __future__ import annotations
@@ -84,25 +87,53 @@ def _orthocomplement(weights: np.ndarray) -> np.ndarray:
     return null * np.sign(pivots)
 
 
-def _kernel_states(k: int, modes) -> list[StateTensor]:
-    """Kernel states of the given modes d, k - |d| per mode, listed mode by mode.
+def _kernel_blocks(k: int, modes) -> tuple:
+    """Kernel of the given modes d as mode blocks (rows, cols, submatrix, mode).
 
     Mode d = i - j constrains only the coefficients on that diagonal, so
-    its kernel block is the orthocomplement of the weights
-    sqrt(binom(k,i) binom(k,i-d)) placed back on the diagonal. Modes d
-    and -d share one weight vector, so the orthocomplement is taken once
-    per |d|. The states are read-only views into one (count, k+1, k+1)
-    block, which is freed once no state of it is referenced.
+    its kernel is the orthocomplement of the weights
+    sqrt(binom(k,i) binom(k,i-d)) there: k - |d| states, each one row of
+    submatrix. The layout is that of states._orthonormal_blocks, one block
+    per mode with k - |d| > 0, in the order of modes: rows are the states'
+    consecutive indices in the list, cols the flat cells i(k+1) + (i - d)
+    of the diagonal in ascending i, submatrix the real, read-only
+    (k - |d|, k + 1 - |d|) orthocomplement and mode is d. Modes d and -d
+    share one weight vector, so the orthocomplement is solved once per |d|
+    and the two blocks hold the same array object.
     """
     weights = _mode_weights(k)
-    blocks = {a: _orthocomplement(weights[a + k]).T for a in {abs(d) for d in modes}}
-    stack = np.zeros((sum(k - abs(d) for d in modes), k + 1, k + 1), dtype=complex)
+    solved = {}
+    for a in {abs(d) for d in modes}:
+        solved[a] = _orthocomplement(weights[a + k]).T
+        solved[a].setflags(write=False)
+    blocks = []
     start = 0
     for d in modes:
-        rows = np.arange(max(0, d), min(k, k + d) + 1)
-        block = blocks[abs(d)]
-        stack[start:start + len(block), rows, rows - d] = block
-        start += len(block)
+        submatrix = solved[abs(d)]
+        if len(submatrix):
+            diagonal = np.arange(max(0, d), min(k, k + d) + 1)
+            rows = np.arange(start, start + len(submatrix))
+            cols = diagonal * (k + 2) - d
+            for a in (rows, cols):
+                a.setflags(write=False)
+            blocks.append((rows, cols, submatrix, d))
+            start += len(submatrix)
+    return tuple(blocks)
+
+
+def _kernel_states(k: int, modes) -> list[StateTensor]:
+    """Kernel states of the given modes, listed mode by mode (see _kernel_blocks).
+
+    Each block's submatrix is written onto its cells of one zeroed
+    (count, k+1, k+1) complex array, so every value keeps its bits and
+    every imaginary part is +0.0. The states are read-only views into
+    that array, which is freed once no state of it is referenced.
+    """
+    blocks = _kernel_blocks(k, modes)
+    stack = np.zeros((sum(len(rows) for rows, *_ in blocks), k + 1, k + 1), dtype=complex)
+    flat = stack.reshape(len(stack), -1)
+    for rows, cols, submatrix, _ in blocks:
+        flat[rows[0]:rows[-1] + 1, cols] = submatrix
     stack.setflags(write=False)
     return [StateTensor(k, c) for c in stack]
 
@@ -110,8 +141,9 @@ def _kernel_states(k: int, modes) -> list[StateTensor]:
 def kernel_basis(k: int) -> list[StateTensor]:
     """Orthonormal basis of the restriction kernel, exactly k^2 elements.
 
-    The k - |d| states of each mode d = -k..k, listed mode by mode, as
-    read-only views into one (k^2, k+1, k+1) block (see _kernel_states).
+    The k - |d| states of each mode d = -k..k, listed mode by mode: the
+    rows of the mode blocks of _kernel_blocks, as read-only views into
+    one (k^2, k+1, k+1) block (see _kernel_states).
     """
     _check_level(k)
     return _kernel_states(k, range(-k, k + 1))

@@ -147,15 +147,33 @@ def section_inner_product(k: int, i: int, j: int) -> float:
 
 
 def basis_values(k: int, z: complex) -> np.ndarray:
-    """Vector of all basis section values (e_0(z), ..., e_k(z)) in the affine frame."""
+    """Vector of all basis section values (e_0(z), ..., e_k(z)) in the affine frame.
+
+    DomainError naming k and z if a value is not finite, as when z^k
+    overflows a float (k = 200 at |z| = 1e3) or z is not finite.
+    """
     _check_level(k)
     consts = np.array([basis_norm_const(k, j) for j in range(k + 1)])
-    powers = np.power(complex(z), np.arange(k + 1))
-    return consts * powers
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = consts * np.power(complex(z), np.arange(k + 1))
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"basis section values at level k={k} are not finite at z={z!r}")
+    return values
 
 
 def evaluate_section(state, z: complex, w: complex) -> complex:
-    """Pointwise value sum_ij C_ij e_i(z) e_j(w) in the affine frame z1 = w1 = 1."""
+    """Pointwise value sum_ij C_ij e_i(z) e_j(w) in the affine frame z1 = w1 = 1.
+
+    DomainError naming k and the point if a value is not finite:
+    basis_values raises it, naming z or w, when a basis value overflows,
+    and this function, naming (z, w), when only their products do.
+    """
     vz = basis_values(state.k, z)
     vw = basis_values(state.k, w)
-    return complex(vz @ state.coeffs @ vw)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = complex(vz @ state.coeffs @ vw)
+    if not cmath.isfinite(value):
+        raise DomainError(
+            f"section value at level k={state.k} is not finite at (z, w) = ({z!r}, {w!r})"
+        )
+    return value

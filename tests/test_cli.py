@@ -623,7 +623,9 @@ def command_record(*argv):
     return cli._COMMANDS[args.command](args)
 
 
-# k = 20 has 400 states, so its CSV spans several _STATE_CHUNK stacks
+# the kernel's CSV is written from its mode blocks and its JSON from the
+# dense basis, so each format is checked against the stdlib separately;
+# the kernel record holds its JSON data only when asked for JSON
 @pytest.mark.parametrize("k", [*range(1, 13), 20])
 def test_kernel_output_is_byte_identical_to_the_stdlib(capsys, k):
     basis = kernel_basis(k)
@@ -632,15 +634,29 @@ def test_kernel_output_is_byte_identical_to_the_stdlib(capsys, k):
     assert out == reference_kernel_csv(k, basis)
     code, out, _ = run_cli(capsys, "kernel", "--k", str(k), "--format", "json")
     assert code == 0
-    assert out == reference_json("kernel", command_record("kernel", "--k", str(k)))
+    assert out == reference_json("kernel",
+                                 command_record("kernel", "--k", str(k), "--format", "json"))
 
 
 def test_kernel_csv_at_level_40_is_byte_identical_to_the_stdlib(capsys):
-    # 1600 states: the CSV spans 25 stacks of the renderer, which share one
-    # repr cache
+    # 1600 states in 79 mode blocks, where modes d and -d share one array
+    # and so one text per row
     code, out, _ = run_cli(capsys, "kernel", "--k", "40")
     assert code == 0
     assert out == reference_kernel_csv(40, kernel_basis(40))
+
+
+def test_kernel_csv_builds_no_state_and_no_dense_basis(capsys, monkeypatch):
+    expected = reference_kernel_csv(7, kernel_basis(7))
+
+    def refuse(*args):
+        raise AssertionError("the CSV path built a dense state")
+
+    monkeypatch.setattr(cli.restriction, "kernel_basis", refuse)
+    monkeypatch.setattr(cli.restriction, "StateTensor", refuse)
+    code, out, _ = run_cli(capsys, "kernel", "--k", "7")
+    assert code == 0
+    assert out == expected
 
 
 @pytest.mark.parametrize("argv", [
@@ -676,10 +692,49 @@ def synthetic_states(k):
     return states
 
 
+def mode_block(k, d, start, submatrix):
+    """A block in restriction._kernel_blocks's layout: submatrix's rows are
+    the states start, start + 1, ..., placed on the diagonal of mode d."""
+    diagonal = np.arange(max(0, d), min(k, k + d) + 1)
+    return np.arange(start, start + len(submatrix)), diagonal * (k + 2) - d, submatrix, d
+
+
+def states_of_blocks(k, blocks):
+    """The dense states of mode blocks, one per submatrix row, by index."""
+    states = {}
+    for rows, cols, submatrix, _ in blocks:
+        for index, values in zip(rows.tolist(), submatrix):
+            coeffs = np.zeros((k + 1) ** 2, dtype=complex)
+            coeffs[cols] = values
+            states[index] = StateTensor(k, coeffs.reshape(k + 1, k + 1))
+    return [states[index] for index in sorted(states)]
+
+
+def inject_blocks(monkeypatch, blocks):
+    """Make blocks the kernel of every level, for the CSV and the JSON path."""
+    monkeypatch.setattr(cli.restriction, "_kernel_blocks", lambda level, modes: blocks)
+
+
+def synthetic_blocks(k):
+    """Blocks of every mode d = -k..k, each its own array, whose values are
+    awkward floats with repeats and zeros; the d = 0 block holds a state
+    of -0.0 only and a state of exact zeros."""
+    rng = np.random.default_rng(k)
+    blocks, start = [], 0
+    for d in range(-k, k + 1):
+        values = rng.choice(SPECIAL_VALUES + [0.0] * 4, size=(1 + (d + k) % 3, k + 1 - abs(d)))
+        if d == 0:
+            values = np.vstack([values, np.full(k + 1, -0.0), np.zeros(k + 1)])
+        blocks.append(mode_block(k, d, start, values))
+        start += len(values)
+    return blocks
+
+
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_special_coefficients_render_like_the_stdlib(capsys, monkeypatch, k):
-    states = synthetic_states(k)
-    monkeypatch.setattr(cli.restriction, "kernel_basis", lambda level: states)
+    blocks = synthetic_blocks(k)
+    states = states_of_blocks(k, blocks)
+    inject_blocks(monkeypatch, blocks)
     code, out, _ = run_cli(capsys, "kernel", "--k", str(k))
     assert code == 0
     assert out == reference_kernel_csv(k, states)
@@ -690,25 +745,35 @@ def test_special_coefficients_render_like_the_stdlib(capsys, monkeypatch, k):
                                                      "basis": states}})
 
 
-def test_csv_renders_repeated_special_values_across_chunks(capsys, monkeypatch):
-    """Values repeat across _STATE_CHUNK stacks, which share one repr cache."""
-    k, count = 2, 2 * cli._STATE_CHUNK + 5
+def test_csv_renders_repeated_special_values_across_blocks(capsys, monkeypatch):
+    """Values repeat across blocks and across a d/-d pair: modes 1 and -1
+    share one array, so one text per row, while modes 2 and -2 hold
+    different arrays of one shape, whose texts must not be shared."""
+    k = 3
     nan_a, nan_b = np.array([0x7FF8000000000001, 0xFFF8000000000002], np.uint64).view(float)
     pool = SPECIAL_VALUES + [-0.0, 5e-324, math.inf, -math.inf] + [0.0] * 6
     rng = np.random.default_rng(23)
-    values = rng.choice(pool, size=(count, k + 1, k + 1, 2))
-    values[3, 0, 0, 0] = nan_a  # first stack
-    values[count - 2, 1, 2, 1] = nan_b  # last stack
-    values[cli._STATE_CHUNK + 1] = 0.0  # an all-zero state in the second stack
-    # a complex view, not arithmetic, keeps each float's bits (inf * 1j has a NaN)
-    states = [StateTensor(k, v.view(complex)[..., 0]) for v in values]
-    payloads = np.array([states[3].coeffs[0, 0].real, states[-2].coeffs[1, 2].imag])
+    shared = rng.choice(pool, size=(5, 3))
+    shared[1, 0] = nan_a
+    shared[3] = 0.0  # an all-zero state, twice
+    minus_two, plus_two = rng.choice(pool, size=(2, 4, 2))
+    plus_two[2, 1] = nan_b
+    layout = [(-2, minus_two), (-1, shared), (0, rng.choice(pool, size=(6, 4))),
+              (1, shared), (2, plus_two)]
+    blocks, start = [], 0
+    for d, values in layout:
+        blocks.append(mode_block(k, d, start, values))
+        start += len(values)
+    states = states_of_blocks(k, blocks)
+    inject_blocks(monkeypatch, blocks)
+    # the dense fill keeps each float's bits, NaN payloads included
+    basis = kernel_basis(k)
+    payloads = np.array([basis[5].coeffs[0, 1].real, basis[22].coeffs[3, 1].real])
     assert payloads.view(np.uint64).tolist() == [0x7FF8000000000001, 0xFFF8000000000002]
-    monkeypatch.setattr(cli.restriction, "kernel_basis", lambda level: states)
     code, out, _ = run_cli(capsys, "kernel", "--k", str(k))
     assert code == 0
     assert out == reference_kernel_csv(k, states)
-    assert out.count("nan") == 2 and "-inf" in out and "5e-324" in out and "-0.0" in out
+    assert out.count("nan") == 3 and "-inf" in out and "5e-324" in out and "-0.0" in out
 
 
 def test_json_refuses_the_first_non_finite_value_in_document_order():
@@ -766,18 +831,18 @@ def test_arrays_render_like_the_stdlib_at_every_depth():
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_coefficients_keep_their_stdlib_behaviour(capsys, monkeypatch, value):
-    coeffs = np.zeros((3, 3), dtype=complex)
-    coeffs[1, 2] = value
-    coeffs[2, 0] = 1j * value
-    states = [StateTensor(2, coeffs)]
-    monkeypatch.setattr(cli.restriction, "kernel_basis", lambda level: states)
+    # one state of mode -1 with value at cell (1, 2), one of mode 2 at (2, 0)
+    blocks = [mode_block(2, -1, 0, np.array([[0.0, value]])),
+              mode_block(2, 2, 1, np.array([[value]]))]
+    states = states_of_blocks(2, blocks)
+    inject_blocks(monkeypatch, blocks)
     # CSV writes the float's repr, as csv.writer does
     code, out, _ = run_cli(capsys, "kernel", "--k", "2")
     assert code == 0
     assert out == reference_kernel_csv(2, states)
-    assert repr(value) in out
+    assert out.count(repr(value)) == 2
     # JSON refuses, with json.dumps's message, and exits 2
-    result = {"params": {"k": 2, "dim": 1}, "data": {"k": 2, "dim": 1, "basis": states}}
+    result = {"params": {"k": 2, "dim": 2}, "data": {"k": 2, "dim": 2, "basis": states}}
     with pytest.raises(ValueError) as expected:
         reference_json("kernel", result)
     with pytest.raises(ValueError, match="^" + re.escape(str(expected.value)) + "$"):

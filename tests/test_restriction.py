@@ -23,6 +23,8 @@ from holoent import (
     restrict,
     schmidt_rank,
 )
+from holoent.restriction import _kernel_blocks
+from holoent.states import _orthonormal_blocks
 
 EQ_SERIES_K1 = math.log(2)
 EQ_SERIES_K3 = 0.3250829733914482
@@ -207,6 +209,27 @@ def test_kernel_basis_states_are_views_of_one_read_only_block(build, k):
     assert block.shape == (count, k + 1, k + 1) and not block.flags.writeable
     assert all(v.coeffs.base is block for v in basis)
     assert np.array_equal(np.stack([v.coeffs for v in basis]), block)
+
+
+@pytest.mark.parametrize("k", [*range(1, 13), 20])
+def test_kernel_blocks_are_the_mode_blocks_of_kernel_basis(k):
+    built = _kernel_blocks(k, range(-k, k + 1))
+    _, found = _orthonormal_blocks(kernel_basis(k))
+    assert len(built) == len(found) == 2 * k - 1
+    for (rows, cols, submatrix, mode), (rows_f, cols_f, submatrix_f, mode_f) in zip(built, found):
+        assert mode == mode_f
+        assert np.array_equal(rows, rows_f) and np.array_equal(cols, cols_f)
+        assert submatrix.dtype == float and submatrix.shape == submatrix_f.shape
+        assert np.array_equal(submatrix.view(np.uint64), submatrix_f.real.view(np.uint64))
+        assert not submatrix_f.imag.view(np.uint64).any()  # +0.0, not -0.0
+        assert not any(a.flags.writeable for a in (rows, cols, submatrix))
+
+
+@pytest.mark.parametrize("k", [1, 2, 7])
+def test_kernel_blocks_of_modes_d_and_minus_d_share_one_array(k):
+    blocks = {mode: submatrix for *_, submatrix, mode in _kernel_blocks(k, range(-k, k + 1))}
+    assert sorted(blocks) == list(range(1 - k, k))
+    assert all(blocks[d] is blocks[-d] for d in blocks)
 
 
 @pytest.mark.parametrize("k", [1, 2, 7])

@@ -214,6 +214,44 @@ def test_evaluate_section_zero_state():
     assert evaluate_section(StateTensor(2, np.zeros((3, 3))), 0.7 + 0.2j, -1.1j) == 0.0
 
 
+def basis_values_formula(k, z):
+    consts = np.array([basis_norm_const(k, j) for j in range(k + 1)])
+    return consts * np.power(complex(z), np.arange(k + 1))
+
+
+@pytest.mark.parametrize("k, z", [(200, 0.5), (200, 30.0), (20, 1e15), (20, -0.7 + 0.3j)])
+def test_finite_basis_values_are_the_plain_formula_bit_for_bit(k, z):
+    values = basis_values(k, z)
+    assert np.all(np.isfinite(values))
+    assert values.view(np.uint64).tolist() == basis_values_formula(k, z).view(np.uint64).tolist()
+
+
+def test_finite_section_values_are_the_plain_formula_bit_for_bit():
+    state = max_entropy_vector(200)
+    expected = complex(basis_values(200, 30.0) @ state.coeffs @ basis_values(200, 0.5))
+    assert evaluate_section(state, 30.0, 0.5) == expected
+
+
+@pytest.mark.parametrize("k, z", [(200, 1e3), (200, -1e3j), (20, 1e20), (3, math.nan)])
+def test_basis_values_that_are_not_finite_raise_naming_k_and_z(recwarn, k, z):
+    with pytest.raises(DomainError, match=re.escape(f"at level k={k} are not finite at z={z!r}")):
+        basis_values(k, z)
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("k, z, w, message", [
+    # e_j(z) overflows, and basis_values names z
+    (200, 1e3, 0.5, "basis section values at level k=200 are not finite at z=1000.0"),
+    # each e_j(z) is finite, the products e_i(z) e_j(w) are not
+    (20, 1e15, 1e15, "section value at level k=20 is not finite at "
+                     "(z, w) = (1000000000000000.0, 1000000000000000.0)"),
+])
+def test_section_values_that_are_not_finite_raise_naming_the_point(recwarn, k, z, w, message):
+    with pytest.raises(DomainError, match="^" + re.escape(message) + "$"):
+        evaluate_section(bell_vector(k), z, w)
+    assert not recwarn.list
+
+
 def test_weight_table_is_cached_and_read_only():
     table = _mode_weights(4)
     assert _mode_weights(4) is table
